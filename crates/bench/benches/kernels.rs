@@ -2,15 +2,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sembfs_core::bitmap::AtomicBitmap;
-use sembfs_core::bottomup::bottom_up_step;
 use sembfs_core::frontier::{bitmap_to_queue, queue_to_bitmap};
-use sembfs_core::topdown::top_down_step;
+use sembfs_core::parallel::{par_bottom_up_step, par_top_down_step};
 use sembfs_core::tree::new_parent_array;
 use sembfs_csr::{build_csr, BackwardGraph, BuildOptions, DramForwardGraph, NeighborCtx};
 use sembfs_graph500::KroneckerParams;
 use sembfs_numa::RangePartition;
 
 const SCALE: u32 = 14;
+
+fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 fn setup() -> (DramForwardGraph, BackwardGraph, u64) {
     let params = KroneckerParams::graph500(SCALE, 3);
@@ -36,9 +39,18 @@ fn level1_frontier(fg: &DramForwardGraph, n: u64) -> Vec<u32> {
     let parent = new_parent_array(n, root);
     let visited = AtomicBitmap::new(n);
     visited.set(root);
-    top_down_step(fg, &[root], &parent, &visited, 64, &NeighborCtx::dram)
-        .unwrap()
-        .next
+    par_top_down_step(
+        fg,
+        &[root],
+        &parent,
+        &visited,
+        64,
+        threads(),
+        &NeighborCtx::dram,
+        None,
+    )
+    .unwrap()
+    .next
 }
 
 fn bench_top_down(c: &mut Criterion) {
@@ -54,7 +66,17 @@ fn bench_top_down(c: &mut Criterion) {
                 for &v in &frontier {
                     visited.set(v);
                 }
-                top_down_step(&fg, &frontier, &parent, &visited, batch, &NeighborCtx::dram).unwrap()
+                par_top_down_step(
+                    &fg,
+                    &frontier,
+                    &parent,
+                    &visited,
+                    batch,
+                    threads(),
+                    &NeighborCtx::dram,
+                    None,
+                )
+                .unwrap()
             })
         });
     }
@@ -76,7 +98,17 @@ fn bench_bottom_up(c: &mut Criterion) {
                 frontier.set(v);
             }
             let next = AtomicBitmap::new(n);
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap()
+            par_bottom_up_step(
+                &bg,
+                &frontier,
+                &next,
+                &parent,
+                &visited,
+                threads(),
+                &NeighborCtx::dram,
+                None,
+            )
+            .unwrap()
         })
     });
     g.finish();

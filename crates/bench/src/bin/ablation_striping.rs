@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use sembfs_bench::{BenchEnv, Table};
-use sembfs_core::topdown::top_down_step;
+use sembfs_core::parallel::par_top_down_step;
 use sembfs_core::tree::new_parent_array;
 use sembfs_core::AtomicBitmap;
 use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph, ExtForwardGraph, NeighborCtx};
@@ -37,15 +37,25 @@ fn main() {
     let paths = fg_dram.write_to_dir(dir.path()).expect("offload");
 
     let root = select_roots(csr.num_vertices(), 1, env.seed, |v| csr.degree(v))[0];
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     // One full frontier expansion from the hub level: dominated by device
     // reads, the phase striping accelerates.
     let frontier = {
         let parent = new_parent_array(csr.num_vertices(), root);
         let visited = AtomicBitmap::new(csr.num_vertices());
         visited.set(root);
-        top_down_step(&fg_dram, &[root], &parent, &visited, 64, &NeighborCtx::dram)
-            .expect("expand")
-            .next
+        par_top_down_step(
+            &fg_dram,
+            &[root],
+            &parent,
+            &visited,
+            64,
+            threads,
+            &NeighborCtx::dram,
+            None,
+        )
+        .expect("expand")
+        .next
     };
 
     let mut table = Table::new(&["devices", "elapsed ms", "requests/device", "speedup x"]);
@@ -89,9 +99,16 @@ fn main() {
         }
         let reader = ChunkedReader::new(16 * 1024);
         let t0 = std::time::Instant::now();
-        top_down_step(&ext, &frontier, &parent, &visited, 64, &move || {
-            NeighborCtx::new(reader)
-        })
+        par_top_down_step(
+            &ext,
+            &frontier,
+            &parent,
+            &visited,
+            64,
+            threads,
+            &move || NeighborCtx::new(reader),
+            None,
+        )
         .expect("striped expand");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);

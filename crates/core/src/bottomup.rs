@@ -1,25 +1,27 @@
-//! The bottom-up step (Fig. 2) and its neighbor sources.
+//! The bottom-up probe (Fig. 2) and its neighbor sources.
 //!
 //! Every unvisited vertex probes its neighbor list for a frontier member
 //! and stops at the first hit ("the bottom-up approach terminates the
-//! vertex searches … once we find [a frontier vertex]"). Vertices are
-//! scanned per NUMA domain over the backward graph's local range (§V-C).
+//! vertex searches … once we find [a frontier vertex]"). The backward
+//! graphs keep each list sorted ascending, so the first hit is also the
+//! smallest frontier neighbor — the canonical min parent that
+//! [`crate::reference_bfs`] and the top-down `fetch_min` claim pick. The
+//! step kernel that drives the probes is
+//! [`par_bottom_up_step`](crate::parallel::par_bottom_up_step).
 //!
 //! [`BottomUpSource`] abstracts where the neighbor list lives:
 //!
 //! * [`BackwardGraph`] — fully in DRAM (the paper's implemented layout);
 //! * [`SplitBackwardGraph`] — DRAM head + NVM tail (§VI-E, the extension
 //!   the paper only *estimates*; here it actually runs, counting how many
-//!   probes spill to external memory for Fig. 14).
+//!   probes spill to external memory for Fig. 14). The head holds the
+//!   smallest neighbors, so the tail is read only when none of them is in
+//!   the frontier.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
-use rayon::prelude::*;
 use sembfs_csr::{BackwardGraph, NeighborCtx, SplitBackwardGraph};
 use sembfs_numa::RangePartition;
 use sembfs_semext::{ReadAt, Result};
 
-use crate::bitmap::AtomicBitmap;
 use crate::VertexId;
 
 /// Result of probing one vertex's neighbors for a frontier member.
@@ -38,22 +40,9 @@ pub trait BottomUpSource: Send + Sync {
     /// The NUMA vertex partition.
     fn partition(&self) -> &RangePartition;
 
-    /// Probe `w`'s neighbors in order; stop at the first neighbor for
-    /// which `in_frontier` is true.
+    /// Probe `w`'s neighbors in ascending order; stop at the first
+    /// neighbor for which `in_frontier` is true (the smallest such one).
     fn search_parent(
-        &self,
-        w: VertexId,
-        ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome>;
-
-    /// Probe *all* of `w`'s neighbors and return the **smallest** frontier
-    /// member. The deterministic parallel kernel uses this instead of
-    /// [`search_parent`](Self::search_parent): first-hit order depends on
-    /// the adjacency layout (neighbor sorting is optional), while the
-    /// minimum is layout-invariant — the same canonical parent the
-    /// min-parent top-down claim and [`crate::reference_bfs`] produce.
-    fn search_parent_min(
         &self,
         w: VertexId,
         ctx: &mut NeighborCtx,
@@ -88,27 +77,6 @@ impl BottomUpSource for BackwardGraph {
         }
         Ok(SearchOutcome {
             parent: None,
-            dram_edges: scanned,
-            nvm_edges: 0,
-        })
-    }
-
-    fn search_parent_min(
-        &self,
-        w: VertexId,
-        _ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        let mut scanned = 0u64;
-        let mut best: Option<VertexId> = None;
-        for &v in self.neighbors(w) {
-            scanned += 1;
-            if in_frontier(v) && best.is_none_or(|b| v < b) {
-                best = Some(v);
-            }
-        }
-        Ok(SearchOutcome {
-            parent: best,
             dram_edges: scanned,
             nvm_edges: 0,
         })
@@ -160,45 +128,6 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
         })
     }
 
-    fn search_parent_min(
-        &self,
-        w: VertexId,
-        ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        // The minimum may hide in either half: scan the DRAM head *and*
-        // the NVM tail completely, then take the smaller hit.
-        let mut dram_edges = 0u64;
-        let mut best: Option<VertexId> = None;
-        for &v in self.head_neighbors(w) {
-            dram_edges += 1;
-            if in_frontier(v) && best.is_none_or(|b| v < b) {
-                best = Some(v);
-            }
-        }
-        let mut nvm_edges = 0u64;
-        let tail_best = self.with_tail_neighbors(w, ctx, |ns| {
-            let mut tb: Option<VertexId> = None;
-            for &v in ns {
-                nvm_edges += 1;
-                if in_frontier(v) && tb.is_none_or(|b| v < b) {
-                    tb = Some(v);
-                }
-            }
-            tb
-        })?;
-        if let Some(t) = tail_best {
-            if best.is_none_or(|b| t < b) {
-                best = Some(t);
-            }
-        }
-        Ok(SearchOutcome {
-            parent: best,
-            dram_edges,
-            nvm_edges,
-        })
-    }
-
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
         Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w)?)
     }
@@ -215,112 +144,18 @@ pub struct BottomUpOutput {
     pub nvm_edges: u64,
 }
 
-/// Run one bottom-up step: every unvisited vertex probes `frontier`
-/// (bitmap of the previous level) through `b`; finds are recorded in
-/// `parent`, `visited`, and `next`.
-pub fn bottom_up_step<B: BottomUpSource>(
-    b: &B,
-    frontier: &AtomicBitmap,
-    next: &AtomicBitmap,
-    parent: &[AtomicU32],
-    visited: &AtomicBitmap,
-    make_ctx: &(dyn Fn() -> NeighborCtx + Sync),
-) -> Result<BottomUpOutput> {
-    let part = b.partition();
-    let domains = part.num_domains();
-
-    let outs: Vec<BottomUpOutput> = (0..domains)
-        .into_par_iter()
-        .map(|k| -> Result<BottomUpOutput> {
-            let tracer = sembfs_obs::global();
-            let step_start = tracer.is_enabled().then(|| tracer.now_ns());
-            let range = part.range(k);
-            // Chunk the local range so large domains parallelize inside.
-            let chunks: Vec<std::ops::Range<u64>> = {
-                let mut v = Vec::new();
-                let mut s = range.start;
-                while s < range.end {
-                    let e = (s + 4096).min(range.end);
-                    v.push(s..e);
-                    s = e;
-                }
-                v
-            };
-            let pieces: Vec<BottomUpOutput> = chunks
-                .into_par_iter()
-                .map_init(make_ctx, |ctx, chunk| -> Result<BottomUpOutput> {
-                    let mut out = BottomUpOutput {
-                        discovered: 0,
-                        dram_edges: 0,
-                        nvm_edges: 0,
-                    };
-                    for w in chunk {
-                        let w = w as VertexId;
-                        if visited.get(w) {
-                            continue;
-                        }
-                        let so = b.search_parent(w, ctx, |v| frontier.get(v))?;
-                        out.dram_edges += so.dram_edges;
-                        out.nvm_edges += so.nvm_edges;
-                        if let Some(p) = so.parent {
-                            parent[w as usize].store(p, Ordering::Relaxed);
-                            visited.set(w);
-                            next.set(w);
-                            out.discovered += 1;
-                        }
-                    }
-                    Ok(out)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let domain_out = pieces.into_iter().fold(
-                BottomUpOutput {
-                    discovered: 0,
-                    dram_edges: 0,
-                    nvm_edges: 0,
-                },
-                |a, b| BottomUpOutput {
-                    discovered: a.discovered + b.discovered,
-                    dram_edges: a.dram_edges + b.dram_edges,
-                    nvm_edges: a.nvm_edges + b.nvm_edges,
-                },
-            );
-            if let Some(start_ns) = step_start {
-                tracer.span(
-                    start_ns,
-                    tracer.now_ns(),
-                    sembfs_obs::TraceEvent::Step {
-                        dir: sembfs_obs::Dir::BottomUp,
-                        scanned_edges: domain_out.dram_edges + domain_out.nvm_edges,
-                    },
-                );
-            }
-            Ok(domain_out)
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    Ok(outs.into_iter().fold(
-        BottomUpOutput {
-            discovered: 0,
-            dram_edges: 0,
-            nvm_edges: 0,
-        },
-        |a, b| BottomUpOutput {
-            discovered: a.discovered + b.discovered,
-            dram_edges: a.dram_edges + b.dram_edges,
-            nvm_edges: a.nvm_edges + b.nvm_edges,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::AtomicBitmap;
+    use crate::parallel::par_bottom_up_step;
     use crate::tree::{new_parent_array, snapshot_parents};
     use sembfs_csr::backward::split_csr;
     use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
     use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
     use sembfs_semext::{FileBackend, TempDir};
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn backward(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> BackwardGraph {
         let el = MemEdgeList::new(n, edges);
@@ -335,6 +170,26 @@ mod tests {
         BackwardGraph::new(csr, RangePartition::new(n, domains))
     }
 
+    fn step<B: BottomUpSource>(
+        b: &B,
+        frontier: &AtomicBitmap,
+        next: &AtomicBitmap,
+        parent: &[AtomicU32],
+        visited: &AtomicBitmap,
+    ) -> BottomUpOutput {
+        par_bottom_up_step(
+            b,
+            frontier,
+            next,
+            parent,
+            visited,
+            2,
+            &NeighborCtx::dram,
+            None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn discovers_level_from_frontier() {
         // Star: 0 is the frontier, 1..=4 unvisited.
@@ -346,8 +201,7 @@ mod tests {
         frontier.set(0);
         let next = AtomicBitmap::new(5);
 
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let out = step(&bg, &frontier, &next, &parent, &visited);
         assert_eq!(out.discovered, 4);
         assert_eq!(next.count_ones(), 4);
         assert_eq!(&snapshot_parents(&parent)[1..], &[0, 0, 0, 0]);
@@ -365,8 +219,7 @@ mod tests {
         frontier.set(0);
         let next = AtomicBitmap::new(4);
 
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let out = step(&bg, &frontier, &next, &parent, &visited);
         assert_eq!(out.discovered, 1);
         // 3 probed once (hit 0 immediately); 1 and 2 probed their single
         // neighbor (3, not in frontier) once each.
@@ -381,8 +234,7 @@ mod tests {
         let visited = AtomicBitmap::new(2);
         let frontier = AtomicBitmap::new(2);
         let next = AtomicBitmap::new(2);
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let out = step(&bg, &frontier, &next, &parent, &visited);
         assert_eq!(out.discovered, 0);
         assert_eq!(next.count_ones(), 0);
     }
@@ -438,46 +290,40 @@ mod tests {
     }
 
     #[test]
-    fn min_search_returns_smallest_frontier_neighbor() {
-        // Vertex 3 has neighbors [2, 0, 1] (unsorted build): first-hit
-        // against frontier {1, 2} would return 2, the min scan returns 1.
+    fn first_hit_on_unsorted_input_is_the_smallest() {
+        // Vertex 3's neighbors are built as [2, 0, 1]; the backward graph
+        // sorts them, so against frontier {1, 2} the probe stops at 1
+        // after two entries instead of returning 2 after one.
         let el = MemEdgeList::new(4, vec![(3, 2), (3, 0), (3, 1)]);
         let csr = build_csr(&el, BuildOptions::default()).unwrap();
         let bg = BackwardGraph::new(csr, RangePartition::new(4, 1));
         let mut ctx = NeighborCtx::dram();
-        let in_frontier = |v: VertexId| v == 1 || v == 2;
-        let so = bg.search_parent_min(3, &mut ctx, in_frontier).unwrap();
+        let so = bg.search_parent(3, &mut ctx, |v| v == 1 || v == 2).unwrap();
         assert_eq!(so.parent, Some(1));
-        // The min scan always pays the full degree.
-        assert_eq!(so.dram_edges, 3);
+        assert_eq!((so.dram_edges, so.nvm_edges), (2, 0));
     }
 
     #[test]
-    fn min_search_spans_head_and_tail() {
-        // Vertex 5 sorted neighbors [0,1,2,3,4], head limit 2 → head
-        // holds [0,1], tail [2,3,4]. With frontier {1,3} the min is in
-        // the head; with frontier {3,4} it is in the tail.
-        let el = MemEdgeList::new(6, vec![(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let dir = TempDir::new("bu-minsplit").unwrap();
+    fn split_first_hit_stops_in_head_or_tail() {
+        // Vertex 5's neighbors, built unsorted, become [0,1,2,3,4]; head
+        // limit 2 → head [0,1], tail [2,3,4]. Frontier {1,3}: the head
+        // holds the min, and the tail is never read. Frontier {3,4}: the
+        // head misses and the tail stops at 3.
+        let el = MemEdgeList::new(6, vec![(5, 4), (5, 1), (5, 3), (5, 0), (5, 2)]);
+        let csr = build_csr(&el, BuildOptions::default()).unwrap();
+        let dir = TempDir::new("bu-firsthit").unwrap();
         let sbg = split_source(&csr, 2, 1, &dir);
         let mut ctx = NeighborCtx::dram();
         let so = sbg
-            .search_parent_min(5, &mut ctx, |v| v == 1 || v == 3)
+            .search_parent(5, &mut ctx, |v| v == 1 || v == 3)
             .unwrap();
         assert_eq!(so.parent, Some(1));
-        assert_eq!((so.dram_edges, so.nvm_edges), (2, 3));
+        assert_eq!((so.dram_edges, so.nvm_edges), (2, 0));
         let so = sbg
-            .search_parent_min(5, &mut ctx, |v| v == 3 || v == 4)
+            .search_parent(5, &mut ctx, |v| v == 3 || v == 4)
             .unwrap();
         assert_eq!(so.parent, Some(3));
+        assert_eq!((so.dram_edges, so.nvm_edges), (2, 2));
     }
 
     #[test]
@@ -543,18 +389,9 @@ mod tests {
             frontier.set(0);
             let next = AtomicBitmap::new(16);
             let out = if do_split {
-                bottom_up_step(
-                    &sbg,
-                    &frontier,
-                    &next,
-                    &parent,
-                    &visited,
-                    &NeighborCtx::dram,
-                )
-                .unwrap()
+                step(&sbg, &frontier, &next, &parent, &visited)
             } else {
-                bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram)
-                    .unwrap()
+                step(&bg, &frontier, &next, &parent, &visited)
             };
             (out.discovered, snapshot_parents(&parent))
         };

@@ -15,12 +15,11 @@ use sembfs_numa::DomainCounters;
 use sembfs_semext::{ChunkedReader, Device, Result, ShardedPageCache};
 
 use crate::bitmap::AtomicBitmap;
-use crate::bottomup::{bottom_up_step, BottomUpSource};
+use crate::bottomup::BottomUpSource;
 use crate::frontier::{bitmap_to_queue, queue_to_bitmap};
 use crate::level_stats::{Direction, LevelStats};
 use crate::parallel::{par_bottom_up_step, par_top_down_step};
 use crate::policy::{DirectionPolicy, PolicyCtx, PolicyEvent};
-use crate::topdown::top_down_step;
 use crate::tree::{new_parent_array, snapshot_parents};
 use crate::VertexId;
 
@@ -54,28 +53,19 @@ pub struct BfsConfig {
     /// Set the monitored cache's sequential readahead window, in pages
     /// (`None` keeps the current window).
     pub cache_readahead_pages: Option<usize>,
-    /// Worker threads for the deterministic parallel kernels
-    /// ([`crate::parallel`]). `0` (the default) keeps the legacy
-    /// shim-parallel kernels; `>= 1` runs exactly that many explicit
-    /// workers with min-parent tie-breaking, so the tree is bit-identical
-    /// to [`crate::reference_bfs`] at any count.
+    /// Worker threads of the step kernels ([`crate::parallel`]). `0` (the
+    /// default) means [`std::thread::available_parallelism`]. The tree is
+    /// bit-identical to [`crate::reference_bfs`] at any count.
     pub threads: usize,
-    /// Per-domain locality counters charged by the parallel kernels
-    /// (thread-local accumulate, merged once per step). Ignored when
-    /// `threads == 0`.
+    /// Per-domain locality counters charged by the step kernels
+    /// (thread-local accumulate, merged once per step).
     pub numa_counters: Option<Arc<DomainCounters>>,
 }
 
 impl BfsConfig {
     /// The paper's defaults: batch of 64, no monitoring, synchronous
-    /// `read(2)` I/O. Honors `SEMBFS_BFS_THREADS` (worker count for the
-    /// deterministic parallel kernels; unset or `0` keeps the legacy
-    /// kernels) so test/CI matrices can flip every entry point at once.
+    /// `read(2)` I/O, one worker per available core.
     pub fn paper() -> Self {
-        let threads = std::env::var("SEMBFS_BFS_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
         Self {
             batch: 64,
             reader: None,
@@ -85,19 +75,28 @@ impl BfsConfig {
             cache_monitor: None,
             cache_capacity_bytes: None,
             cache_readahead_pages: None,
-            threads,
+            threads: 0,
             numa_counters: None,
         }
     }
 
-    /// Run the deterministic parallel kernels on exactly `threads` workers
-    /// (`0` restores the legacy kernels).
+    /// Run the step kernels on exactly `threads` workers (`0` = one per
+    /// available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Attach per-domain locality counters (parallel kernels only).
+    /// The worker count the kernels run with: `threads`, or the available
+    /// parallelism when `threads` is 0.
+    pub fn workers(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        }
+    }
+
+    /// Attach per-domain locality counters.
     pub fn with_numa_counters(mut self, counters: Arc<DomainCounters>) -> Self {
         self.numa_counters = Some(counters);
         self
@@ -228,6 +227,7 @@ where
     );
     assert!((root as u64) < n, "root out of range");
     let batch = if cfg.batch == 0 { 64 } else { cfg.batch };
+    let threads = cfg.workers();
     let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
     let aggregate = cfg.aggregate_io;
     if let Some(cache) = &cfg.cache_monitor {
@@ -319,20 +319,16 @@ where
         let t0 = Instant::now();
         let discovered = match direction {
             Direction::TopDown => {
-                let out = if cfg.threads >= 1 {
-                    par_top_down_step(
-                        forward,
-                        &queue,
-                        &scratch,
-                        &visited,
-                        batch,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    top_down_step(forward, &queue, &scratch, &visited, batch, &make_ctx)?
-                };
+                let out = par_top_down_step(
+                    forward,
+                    &queue,
+                    &scratch,
+                    &visited,
+                    batch,
+                    threads,
+                    &make_ctx,
+                    cfg.numa_counters.as_deref(),
+                )?;
                 for &w in &out.next {
                     scratch[w as usize].store(level, Ordering::Relaxed);
                 }
@@ -342,20 +338,16 @@ where
             }
             Direction::BottomUp => {
                 next_bm.clear();
-                let out = if cfg.threads >= 1 {
-                    par_bottom_up_step(
-                        backward,
-                        &front_bm,
-                        &next_bm,
-                        &scratch,
-                        &visited,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    bottom_up_step(backward, &front_bm, &next_bm, &scratch, &visited, &make_ctx)?
-                };
+                let out = par_bottom_up_step(
+                    backward,
+                    &front_bm,
+                    &next_bm,
+                    &scratch,
+                    &visited,
+                    threads,
+                    &make_ctx,
+                    cfg.numa_counters.as_deref(),
+                )?;
                 std::mem::swap(&mut front_bm, &mut next_bm);
                 for w in front_bm.iter_ones() {
                     scratch[w as usize].store(level, Ordering::Relaxed);
@@ -410,6 +402,7 @@ where
     );
     assert!((root as u64) < n, "root out of range");
     let batch = if cfg.batch == 0 { 64 } else { cfg.batch };
+    let threads = cfg.workers();
     let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
     let aggregate = cfg.aggregate_io;
     if let Some(cache) = &cfg.cache_monitor {
@@ -453,13 +446,6 @@ where
     let mut level = 1u32;
     let mut elapsed = Duration::ZERO;
     let mut was_degraded = false;
-    // Worker count recorded per level: exact for the explicit pool, the
-    // shim's effective parallelism for the legacy kernels.
-    let level_threads = if cfg.threads >= 1 {
-        cfg.threads
-    } else {
-        rayon::current_num_threads()
-    };
 
     while frontier_size > 0 {
         // Policy decision for this level. The frontier's outgoing-edge
@@ -549,20 +535,16 @@ where
         let t0 = Instant::now();
         let (discovered, scanned, nvm_edges) = match direction {
             Direction::TopDown => {
-                let out = if cfg.threads >= 1 {
-                    par_top_down_step(
-                        forward,
-                        &queue,
-                        &parent,
-                        &visited,
-                        batch,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    top_down_step(forward, &queue, &parent, &visited, batch, &make_ctx)?
-                };
+                let out = par_top_down_step(
+                    forward,
+                    &queue,
+                    &parent,
+                    &visited,
+                    batch,
+                    threads,
+                    &make_ctx,
+                    cfg.numa_counters.as_deref(),
+                )?;
                 let d = out.next.len() as u64;
                 // NVM share of top-down scans: with an external forward
                 // graph every scanned edge is read from NVM (Fig. 10's
@@ -578,20 +560,16 @@ where
             }
             Direction::BottomUp => {
                 next_bm.clear();
-                let out = if cfg.threads >= 1 {
-                    par_bottom_up_step(
-                        backward,
-                        &front_bm,
-                        &next_bm,
-                        &parent,
-                        &visited,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    bottom_up_step(backward, &front_bm, &next_bm, &parent, &visited, &make_ctx)?
-                };
+                let out = par_bottom_up_step(
+                    backward,
+                    &front_bm,
+                    &next_bm,
+                    &parent,
+                    &visited,
+                    threads,
+                    &make_ctx,
+                    cfg.numa_counters.as_deref(),
+                )?;
                 // The produced set becomes the next level's frontier.
                 std::mem::swap(&mut front_bm, &mut next_bm);
                 (
@@ -629,7 +607,7 @@ where
                     io_wall_ns: io.as_ref().map_or(0, |i| i.wall_ns()),
                     cache_hits: cache.as_ref().map_or(0, |c| c.hits),
                     cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-                    threads: level_threads as u64,
+                    threads: threads as u64,
                 },
             );
         }
@@ -645,7 +623,7 @@ where
             elapsed: dt,
             io,
             cache,
-            threads: level_threads,
+            threads,
         });
 
         prev_frontier = frontier_size;
@@ -908,6 +886,23 @@ mod tests {
                 assert!(run.levels.iter().all(|l| l.threads == threads));
             }
         }
+    }
+
+    #[test]
+    fn zero_threads_means_available_parallelism() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(BfsConfig::paper().workers(), cores);
+        assert_eq!(BfsConfig::paper().with_threads(3).workers(), 3);
+        let (fg, bg) = star_tail();
+        let run = hybrid_bfs(
+            &fg,
+            &bg,
+            0,
+            &FixedPolicy(Direction::BottomUp),
+            &BfsConfig::paper(),
+        )
+        .unwrap();
+        assert!(run.levels.iter().all(|l| l.threads == cores));
     }
 
     #[test]

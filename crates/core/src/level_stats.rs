@@ -56,8 +56,7 @@ pub struct LevelStats {
     /// monitored (hit-rate per level: the levels whose working set fits
     /// DRAM run at cache speed, the rest pay the device).
     pub cache: Option<CacheSnapshot>,
-    /// Worker threads the step ran on (exact for the deterministic
-    /// parallel kernels, the shim's effective parallelism otherwise).
+    /// Worker threads the step ran on.
     pub threads: usize,
 }
 

@@ -13,15 +13,17 @@
 //!
 //! * [`bitmap`], [`frontier`], [`tree`] — BFS status data (§IV-A):
 //!   visited/frontier bitmaps, queues, the parent tree.
-//! * [`topdown`], [`bottomup`] — the two step kernels, generic over where
-//!   their graph lives (DRAM or metered NVM).
+//! * [`parallel`] — the two step kernels, generic over where their graph
+//!   lives (DRAM or metered NVM): chunked work-stealing top-down with a
+//!   min-parent `fetch_min` claim and range-partitioned first-hit
+//!   bottom-up, bit-identical to [`reference_bfs`] at any thread count
+//!   (`BfsConfig::threads`).
+//! * [`bottomup`] — the bottom-up probe over sorted backward adjacency
+//!   (DRAM or split DRAM head + NVM tail), where the first frontier hit
+//!   is the min parent.
 //! * [`policy`] — direction-switching: the paper's α/β rule, fixed
 //!   directions (the Fig. 8 baselines), and a Beamer-style heuristic for
 //!   ablation.
-//! * [`parallel`] — deterministic parallel step kernels: chunked
-//!   work-stealing top-down with a min-parent `fetch_min` claim and
-//!   range-partitioned bottom-up, bit-identical to [`reference_bfs`] at
-//!   any thread count (`BfsConfig::threads`).
 //! * [`hybrid`] — the level-synchronous driver with per-level
 //!   instrumentation ([`level_stats`]).
 //! * [`mod@reference`] — the serial Graph500-reference-style BFS baseline.
@@ -39,7 +41,6 @@ pub mod parallel;
 pub mod policy;
 pub mod reference;
 pub mod scenario;
-pub mod topdown;
 pub mod tree;
 
 pub use bitmap::AtomicBitmap;

@@ -1,12 +1,9 @@
-//! Deterministic parallel BFS step kernels (`ParallelBfs`).
+//! The parallel BFS step kernels.
 //!
-//! The legacy kernels in [`crate::topdown`]/[`crate::bottomup`] are
-//! parallel over the rayon shim but *racy in the parent choice*: whichever
-//! thread wins `test_and_set` keeps its parent, so two runs of the same
-//! search can produce different (both valid) trees. These kernels instead
-//! run an explicit worker pool with a canonical **min-parent** tie-break,
-//! so the tree is bit-identical to [`crate::reference_bfs`] at any thread
-//! count, direction schedule, and data layout:
+//! Both kernels run an explicit pool of worker threads and break ties by a
+//! canonical **min-parent** rule, so the parent tree is bit-identical to
+//! [`crate::reference_bfs`] at any thread count, direction schedule, and
+//! data layout:
 //!
 //! * **Top-down** claims vertices with `fetch_min` on the shared atomic
 //!   parent array. Every frontier neighbor of `w` proposes itself; the
@@ -16,9 +13,12 @@
 //!   Visited bits are set only *after* the step, otherwise a larger
 //!   early proposer would suppress a smaller later one.
 //! * **Bottom-up** range-partitions the unvisited vertices (each has a
-//!   unique owner, so plain stores suffice) and takes the *minimum*
-//!   frontier neighbor via [`BottomUpSource::search_parent_min`] instead
-//!   of the first hit, which depends on the adjacency layout.
+//!   unique owner, so plain stores suffice) and stops each probe at the
+//!   first frontier neighbor ([`BottomUpSource::search_parent`], Fig. 2's
+//!   early exit). The backward graphs keep every neighbor list sorted
+//!   ascending, so **the first hit is the min parent**: no probe reads
+//!   past it, and the split layout's NVM tail is read only when no
+//!   frontier neighbor sits in the DRAM head.
 //!
 //! Both graphs derive from the same bidirectional CSR, so "`w`'s smallest
 //! frontier neighbor" is the same vertex in either direction — the min
@@ -38,23 +38,32 @@ use sembfs_semext::Result;
 
 use crate::bitmap::AtomicBitmap;
 use crate::bottomup::{BottomUpOutput, BottomUpSource};
-use crate::topdown::TopDownOutput;
 use crate::{VertexId, INVALID_PARENT};
 
-/// Vertices per bottom-up work unit (same granularity as the legacy
-/// kernel's inner chunks).
+/// Vertices per bottom-up work unit.
 const BOTTOM_UP_CHUNK: u64 = 4096;
+
+/// Output of one top-down step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopDownOutput {
+    /// The next frontier (unsorted; one entry per newly visited vertex).
+    pub next: Vec<VertexId>,
+    /// Edges examined (all neighbor entries of the frontier).
+    pub scanned_edges: u64,
+}
 
 /// One top-down worker's step result: its next-frontier buffer, scanned
 /// edges, and (when NUMA accounting is on) its private counter deltas.
 type WorkerOutput = Result<(Vec<VertexId>, u64, Option<LocalDomainCounters>)>;
 
-/// Deterministic parallel top-down step over `threads` explicit workers.
+/// Top-down step (Fig. 1) over `threads` explicit workers: expand
+/// `frontier` through `g`, claiming unvisited neighbors.
 ///
-/// Semantics match [`crate::topdown::top_down_step`] except for the
-/// tie-break: each discovered vertex gets its **smallest** frontier
-/// neighbor as parent (`fetch_min` claim), so the result is independent
-/// of the worker schedule. `counters`, when given, accrue per-domain
+/// Each discovered vertex gets its **smallest** frontier neighbor as
+/// parent (`fetch_min` claim), so the result is independent of the worker
+/// schedule. Workers dequeue the frontier in chunks of `batch` vertices
+/// (the paper uses 64); `make_ctx` builds each worker's scratch (the chunk
+/// reader for where `g` lives). `counters`, when given, accrue per-domain
 /// locality: each neighbor-list visit is charged from the frontier
 /// vertex's owning domain to the list's domain, accumulated thread-local
 /// and merged once per step.
@@ -166,14 +175,15 @@ pub fn par_top_down_step<G: DomainNeighbors>(
     })
 }
 
-/// Deterministic parallel bottom-up step over `threads` explicit workers.
+/// Bottom-up step (Fig. 2) over `threads` explicit workers: every
+/// unvisited vertex probes `frontier` (bitmap of the previous level)
+/// through `b`; finds are recorded in `parent`, `visited`, and `next`.
 ///
-/// Semantics match [`crate::bottomup::bottom_up_step`] except each
-/// discovered vertex takes its **smallest** frontier neighbor
-/// ([`BottomUpSource::search_parent_min`]), so the parent tree matches
-/// the min-parent top-down claim and [`crate::reference_bfs`]. Note the
-/// edge accounting differs from the first-hit kernel: the min scan always
-/// pays the full degree of every probed vertex.
+/// Each probe stops at the first frontier neighbor. `b`'s lists are
+/// ascending, so that neighbor is the **smallest** one and the parent
+/// tree matches the min-parent top-down claim and
+/// [`crate::reference_bfs`]. The scanned-edge counts are those of a
+/// serial first-hit scan, at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn par_bottom_up_step<B: BottomUpSource>(
     b: &B,
@@ -188,7 +198,7 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
     let part = b.partition();
     let domains = part.num_domains();
     // Work units: BOTTOM_UP_CHUNK-vertex ranges, never straddling a
-    // domain boundary (probes stay domain-local, as in the legacy kernel).
+    // domain boundary (probes stay domain-local).
     let mut units: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
     for k in 0..domains {
         let range = part.range(k);
@@ -237,7 +247,7 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
                                 if visited.get(w) {
                                     continue;
                                 }
-                                let so = b.search_parent_min(w, &mut ctx, |v| frontier.get(v))?;
+                                let so = b.search_parent(w, &mut ctx, |v| frontier.get(v))?;
                                 out.dram_edges += so.dram_edges;
                                 out.nvm_edges += so.nvm_edges;
                                 if let Some(local) = local.as_mut() {
@@ -399,12 +409,13 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_takes_min_frontier_neighbor() {
-        // Vertex 3's backward neighbors are [2, 0, 1] (unsorted build);
-        // with frontier {1, 2} the first-hit kernel would pick 2, the
-        // deterministic kernel must pick 1.
+    fn bottom_up_first_hit_is_the_min_parent_on_unsorted_input() {
+        // Vertex 3's neighbors are built as [2, 0, 1]; the backward graph
+        // sorts them to [0, 1, 2]. With frontier {1, 2} the probe stops
+        // at its second entry, 1 — the smallest frontier neighbor.
         let el = MemEdgeList::new(4, vec![(3, 2), (3, 0), (3, 1)]);
         let csr = build_csr(&el, BuildOptions::default()).unwrap();
+        assert_eq!(csr.neighbors(3), &[2, 0, 1]);
         let bg = BackwardGraph::new(csr, RangePartition::new(4, 1));
         let parent = new_parent_array(4, 0);
         let visited = AtomicBitmap::new(4);
@@ -428,6 +439,35 @@ mod tests {
         assert_eq!(out.discovered, 1);
         assert_eq!(parent[3].load(Ordering::Relaxed), 1);
         assert!(next.get(3));
+        // Vertex 0 probes its only neighbor (3, not in the frontier); 3
+        // probes two entries.
+        assert_eq!((out.dram_edges, out.nvm_edges), (1 + 2, 0));
+    }
+
+    #[test]
+    fn already_visited_not_reclaimed() {
+        let g = forward(vec![(0, 1), (1, 2)], 3, 1);
+        let parent = new_parent_array(3, 0);
+        let visited = AtomicBitmap::new(3);
+        visited.set(0);
+        visited.set(2); // pretend 2 was found earlier
+        parent[2].store(99, Ordering::Relaxed);
+        let out = par_top_down_step(&g, &[0], &parent, &visited, 64, 2, &NeighborCtx::dram, None)
+            .unwrap();
+        assert_eq!(out.next, vec![1]);
+        assert_eq!(parent[2].load(Ordering::Relaxed), 99);
+    }
+
+    #[test]
+    fn empty_frontier_is_a_noop() {
+        let g = forward(vec![(0, 1)], 2, 1);
+        let parent = new_parent_array(2, 0);
+        let visited = AtomicBitmap::new(2);
+        let out =
+            par_top_down_step(&g, &[], &parent, &visited, 64, 2, &NeighborCtx::dram, None).unwrap();
+        assert!(out.next.is_empty());
+        assert_eq!(out.scanned_edges, 0);
+        assert_eq!(snapshot_parents(&parent)[1], INVALID_PARENT);
     }
 
     #[test]

@@ -138,6 +138,8 @@ pub struct ScenarioOptions {
     /// Directory for the "NVM" files; a fresh temp dir when `None`.
     pub data_dir: Option<PathBuf>,
     /// Sort adjacency lists during construction (deterministic layout).
+    /// The backward graph is sorted either way: its constructors enforce
+    /// ascending lists, which the first-hit bottom-up probe relies on.
     pub sort_neighbors: bool,
     /// Deterministic fault-injection plan for the scenario's simulated
     /// device (`None` = fault-free; ignored in the DRAM-only scenario,

@@ -12,6 +12,13 @@
 //! stay in DRAM (the hot head — bottom-up usually terminates within a few
 //! probes), while the tail is offloaded to external memory and streamed
 //! only when the head is exhausted.
+//!
+//! Both forms guarantee **ascending neighbor lists**, whatever order the
+//! input CSR has: [`BackwardGraph::new`] and [`split_csr`] sort any list
+//! that is not already sorted. The bottom-up probe stops at its first
+//! frontier neighbor, and on a sorted list that neighbor is also the
+//! smallest one — the canonical min parent. The split keeps the smallest
+//! `k_limit` neighbors in DRAM and the larger ones in the tail.
 
 use std::ops::Range;
 
@@ -31,12 +38,14 @@ pub struct BackwardGraph {
 }
 
 impl BackwardGraph {
-    /// Wrap a full CSR with its domain partition.
+    /// Wrap a full CSR with its domain partition, sorting every neighbor
+    /// list that is not already ascending.
     ///
     /// # Panics
     /// Panics when the vertex counts disagree.
-    pub fn new(csr: CsrGraph, partition: RangePartition) -> Self {
+    pub fn new(mut csr: CsrGraph, partition: RangePartition) -> Self {
         assert_eq!(csr.num_vertices(), partition.num_vertices());
+        csr.sort_neighbor_lists();
         Self { csr, partition }
     }
 
@@ -55,7 +64,7 @@ impl BackwardGraph {
         self.partition.range(k)
     }
 
-    /// Full neighbor list of `v`.
+    /// Full neighbor list of `v`, ascending.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         self.csr.neighbors(v)
@@ -78,9 +87,10 @@ impl BackwardGraph {
     }
 }
 
-/// Split a CSR into a DRAM head (first `k_limit` neighbors per vertex) and
-/// an external tail (the rest). Returns `(head, tail_index, tail_values)`;
-/// the tail arrays are written to files by the caller.
+/// Split a CSR into a DRAM head (the `k_limit` smallest neighbors per
+/// vertex) and an external tail (the rest), both ascending. Lists of `csr`
+/// that are not sorted are sorted on the way. Returns `(head, tail_index,
+/// tail_values)`; the tail arrays are written to files by the caller.
 pub fn split_csr(csr: &CsrGraph, k_limit: u64) -> (CsrGraph, Vec<u64>, Vec<VertexId>) {
     let n = csr.num_vertices() as usize;
     let mut head_index = Vec::with_capacity(n + 1);
@@ -89,8 +99,15 @@ pub fn split_csr(csr: &CsrGraph, k_limit: u64) -> (CsrGraph, Vec<u64>, Vec<Verte
     tail_index.push(0u64);
     let mut head_values = Vec::new();
     let mut tail_values = Vec::new();
+    let mut sorted = Vec::new();
     for v in 0..n {
-        let ns = csr.neighbors(v as VertexId);
+        let mut ns = csr.neighbors(v as VertexId);
+        if !ns.is_sorted() {
+            sorted.clear();
+            sorted.extend_from_slice(ns);
+            sorted.sort_unstable();
+            ns = &sorted;
+        }
         let cut = (k_limit as usize).min(ns.len());
         head_values.extend_from_slice(&ns[..cut]);
         tail_values.extend_from_slice(&ns[cut..]);
@@ -155,10 +172,9 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         self.head.neighbors(v)
     }
 
-    /// Number of tail (offloaded) neighbors of `v`. Zero storage requests
-    /// (the tail index is consulted via the head shape only when needed —
-    /// this uses the external index, so it does issue a request unless the
-    /// index is pinned; pin with [`ExtCsr::with_dram_index`] upstream).
+    /// Number of tail (offloaded) neighbors of `v`, read from the tail's
+    /// index. This issues a storage request unless the index is pinned in
+    /// DRAM ([`ExtCsr::with_dram_index`]), as the scenario layouts do.
     pub fn tail_degree(&self, v: VertexId) -> Result<u64> {
         self.tail.degree(v as u64)
     }
@@ -246,6 +262,23 @@ mod tests {
     }
 
     #[test]
+    fn backward_graph_sorts_unsorted_lists() {
+        let csr = CsrGraph::from_adjacency(&[vec![2, 1], vec![0], vec![0]]);
+        let bg = BackwardGraph::new(csr, RangePartition::new(3, 1));
+        assert_eq!(bg.neighbors(0), &[1, 2]);
+    }
+
+    #[test]
+    fn split_sorts_before_cutting() {
+        // Unsorted [5, 3, 4, 1]: the head keeps the two smallest.
+        let csr =
+            CsrGraph::from_adjacency(&[vec![5, 3, 4, 1], vec![], vec![], vec![], vec![], vec![]]);
+        let (head, ti, tv) = split_csr(&csr, 2);
+        assert_eq!(head.neighbors(0), &[1, 3]);
+        assert_eq!(&tv[ti[0] as usize..ti[1] as usize], &[4, 5]);
+    }
+
+    #[test]
     fn split_preserves_order_and_content() {
         let csr = star_plus_path();
         let (head, tail_index, tail_values) = split_csr(&csr, 2);
@@ -313,8 +346,8 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// split_csr partitions each adjacency list at min(k, deg)
-            /// preserving order, for arbitrary graphs and limits.
+            /// split_csr partitions each sorted adjacency list at
+            /// min(k, deg), for arbitrary graphs and limits.
             #[test]
             fn split_partitions_cleanly(
                 adj in proptest::collection::vec(
@@ -329,7 +362,9 @@ mod tests {
                     let t = &tv[ti[v] as usize..ti[v + 1] as usize];
                     let mut joined = h.to_vec();
                     joined.extend_from_slice(t);
-                    prop_assert_eq!(&joined, list);
+                    let mut sorted = list.clone();
+                    sorted.sort_unstable();
+                    prop_assert_eq!(joined, sorted);
                     prop_assert!(h.len() as u64 <= k);
                 }
             }

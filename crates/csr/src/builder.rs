@@ -23,7 +23,8 @@ pub struct BuildOptions {
     /// `false`.
     pub drop_self_loops: bool,
     /// Sort each adjacency list ascending after construction
-    /// (deterministic layout; also groups low vertex IDs first).
+    /// (deterministic layout; also groups low vertex IDs first). The
+    /// backward graphs sort their lists either way.
     pub sort_neighbors: bool,
     /// Edge-list chunk size (edges per parallel task).
     pub chunk_edges: usize,
@@ -83,23 +84,12 @@ pub fn build_csr(edges: &dyn EdgeList, opts: BuildOptions) -> Result<CsrGraph> {
         Ok(())
     })?;
 
-    let mut values: Vec<VertexId> = values.into_iter().map(AtomicU32::into_inner).collect();
-
+    let values: Vec<VertexId> = values.into_iter().map(AtomicU32::into_inner).collect();
+    let mut csr = CsrGraph::new(index, values);
     if opts.sort_neighbors {
-        use rayon::prelude::*;
-        // Sort each adjacency list in place, domain by vertex.
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-        let mut rest = values.as_mut_slice();
-        for v in 0..n {
-            let len = (index[v + 1] - index[v]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.par_iter_mut().for_each(|s| s.sort_unstable());
+        csr.sort_neighbor_lists();
     }
-
-    Ok(CsrGraph::new(index, values))
+    Ok(csr)
 }
 
 #[cfg(test)]

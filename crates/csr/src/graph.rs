@@ -88,6 +88,25 @@ impl CsrGraph {
         self.index.len() as u64 * 8 + self.values.len() as u64 * 4
     }
 
+    /// Sort every neighbor list ascending, in place. One linear pass
+    /// checks the lists first, so an already-sorted graph costs only that
+    /// pass.
+    pub fn sort_neighbor_lists(&mut self) {
+        use rayon::prelude::*;
+        let n = self.num_vertices() as VertexId;
+        if (0..n).all(|v| self.neighbors(v).is_sorted()) {
+            return;
+        }
+        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n as usize);
+        let mut rest = self.values.as_mut_slice();
+        for w in self.index.windows(2) {
+            let (list, tail) = rest.split_at_mut((w[1] - w[0]) as usize);
+            slices.push(list);
+            rest = tail;
+        }
+        slices.par_iter_mut().for_each(|s| s.sort_unstable());
+    }
+
     /// Consume into raw arrays (for offloading to external files).
     pub fn into_parts(self) -> (Vec<u64>, Vec<VertexId>) {
         (self.index, self.values)
@@ -132,6 +151,19 @@ mod tests {
     #[should_panic(expected = "final entry must equal")]
     fn inconsistent_rejected() {
         CsrGraph::new(vec![0, 5], vec![1, 2]);
+    }
+
+    #[test]
+    fn sort_neighbor_lists_sorts_every_list() {
+        let mut g = CsrGraph::from_adjacency(&[vec![3, 1, 2], vec![0, 5], vec![], vec![4, 4, 0]]);
+        g.sort_neighbor_lists();
+        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert_eq!(g.neighbors(1), &[0, 5]);
+        assert_eq!(g.neighbors(2), &[] as &[u32]);
+        assert_eq!(g.neighbors(3), &[0, 4, 4]);
+        let sorted = g.clone();
+        g.sort_neighbor_lists();
+        assert_eq!(g, sorted);
     }
 
     #[test]

@@ -193,11 +193,12 @@ impl Shared {
                 // Whole-graph distances-only sweep (no parent tree): the
                 // full level structure from `src` lands in the page cache
                 // pattern the scenario is tuned for, and `dst` is a plain
-                // array lookup.
+                // array lookup. One kernel worker: the engine already runs
+                // one query worker per core.
                 let policy = self.data.scenario().best_policy();
                 let run = self
                     .data
-                    .run_distances(src, &policy, &BfsConfig::paper())
+                    .run_distances(src, &policy, &BfsConfig::paper().with_threads(1))
                     .map_err(io)?;
                 let level = run.levels[dst as usize];
                 Ok(QueryResult::Distance(

@@ -141,9 +141,20 @@ fn main() {
             // the same seed diff clean — the CI determinism gate.
             let checksum = flags.contains_key("checksum");
             let edges = params.generate();
+            let backward_offload_k = flags.get("backward-k").map(|k| {
+                if scenario == Scenario::DramOnly {
+                    eprintln!("--backward-k needs an NVM scenario (flash or ssd)");
+                    std::process::exit(2);
+                }
+                k.parse().unwrap_or_else(|_| {
+                    eprintln!("bad --backward-k value: {k:?}");
+                    std::process::exit(2);
+                })
+            });
             let opts = ScenarioOptions {
                 delay_mode: sembfs::semext::DelayMode::Throttled,
                 fault_plan: fault_plan_of(&flags),
+                backward_offload_k,
                 ..Default::default()
             };
             let data = ScenarioData::build(&edges, scenario, opts).expect("build");
@@ -161,11 +172,7 @@ fn main() {
                 "{} | {} | {num_roots} roots | {} threads",
                 scenario.label(),
                 policy.label(),
-                if cfg.threads >= 1 {
-                    cfg.threads.to_string()
-                } else {
-                    "legacy".to_string()
-                }
+                cfg.workers()
             );
             let mut digests: Vec<(VertexId, u64, u64, u64)> = Vec::new();
             let summary = run_rounds(&roots, &edges, |root| {
@@ -442,9 +449,10 @@ fn usage() {
          \x20 generate  --scale N [--seed S] [--out FILE]   write a Kronecker edge file\n\
          \x20 info      --scale N [--seed S]                print Table II-style sizes\n\
          \x20 bfs       --scale N [--scenario dram|flash|ssd] [--roots R] [--threads T]\n\
-         \x20           [--trace-out TRACE.jsonl] [--faults SPEC] [--checksum]  run the benchmark\n\
-         \x20           (--threads T >= 1 uses the deterministic parallel kernels;\n\
-         \x20            --checksum prints only run-invariant digests for determinism diffs)\n\
+         \x20           [--backward-k K] [--trace-out TRACE.jsonl] [--faults SPEC] [--checksum]\n\
+         \x20           run the benchmark (--threads T: kernel workers, default one per core;\n\
+         \x20            --backward-k K: keep K backward edges per vertex in DRAM, the rest\n\
+         \x20            on the device; --checksum prints only run-invariant digests)\n\
          \x20 report    TRACE.jsonl [--chrome OUT.json]      per-level table from a trace\n\
          \x20 sweep     --scale N [--scenario dram|flash|ssd] [--roots R]  α/β sweep\n\
          \x20 query     --scale N [--scenario dram|flash|ssd] [--src A --dst B | --pairs P]\n\

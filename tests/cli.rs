@@ -42,6 +42,52 @@ fn bfs_reports_official_statistics() {
 }
 
 #[test]
+fn bfs_checksums_agree_across_thread_counts_on_the_split_layout() {
+    let run = |threads: &str| {
+        let out = sembfs()
+            .args([
+                "bfs",
+                "--scale",
+                "10",
+                "--scenario",
+                "flash",
+                "--roots",
+                "2",
+            ])
+            .args(["--backward-k", "4", "--threads", threads, "--checksum"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).unwrap();
+        let roots: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with("root "))
+            .map(String::from)
+            .collect();
+        assert_eq!(roots.len(), 2, "{text}");
+        roots
+    };
+    assert_eq!(run("1"), run("4"));
+
+    for bad in [["--scenario", "dram"], ["--backward-k", "x"]] {
+        let out = sembfs()
+            .args([
+                "bfs",
+                "--scale",
+                "8",
+                "--scenario",
+                "flash",
+                "--backward-k",
+                "4",
+            ])
+            .args(bad)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
+}
+
+#[test]
 fn generate_writes_a_loadable_edge_file() {
     let dir = sembfs_semext::TempDir::new("cli-gen").unwrap();
     let path = dir.path().join("edges.bin");

@@ -226,9 +226,9 @@ fn faulted_parallel_run_keeps_counters_consistent() {
     };
     let data = ScenarioData::build(&edges, Scenario::DramPcieFlash, opts(None)).unwrap();
     let root = select_roots(data.csr().num_vertices(), 1, 5, |v| data.degree(v))[0];
-    let policy = AlphaBetaPolicy::new(10.0, 10.0); // external-heavy: NVM every level
-                                                   // Canonical min-parent oracle — the legacy serial kernel's first-hit
-                                                   // tie-break would be a different (valid but non-canonical) tree.
+    // External-heavy: NVM every level.
+    let policy = AlphaBetaPolicy::new(10.0, 10.0);
+    // The canonical min-parent oracle.
     let want = reference_bfs(data.csr(), root).parent;
 
     let plan = FaultPlan::parse("seed=47,eio=0.05,corrupt=0.02,stall=0.03,stall_us=40,retries=20")

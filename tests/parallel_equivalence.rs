@@ -7,11 +7,16 @@
 //! level-equivalent — and that the `ValidationReport`s agree. The
 //! min-parent CAS tie-break makes the tree a pure function of the graph,
 //! so any divergence is a kernel bug, not an acceptable alternative tree.
+//!
+//! The same holds for the work counters: the bottom-up probe stops at its
+//! first frontier neighbor on sorted backward lists, so every level's
+//! DRAM and NVM scanned-edge counts equal those of a serial first-hit
+//! scan of the reference frontiers, at every thread count.
 
 use sembfs::prelude::*;
 use sembfs::semext::{DeviceProfile, FaultPlan};
 use sembfs_csr::{build_csr, BuildOptions};
-use sembfs_graph500::validate::ValidationReport;
+use sembfs_graph500::validate::{compute_levels, ValidationReport, INVALID_LEVEL};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -148,6 +153,158 @@ fn fixed_direction_parallel_kernels_match_reference() {
             );
             let report = validate_bfs_tree(&run.parent, root, &edges).unwrap();
             assert_eq!(report, want_report);
+        }
+    }
+}
+
+/// Per-level `(dram_edges, nvm_edges)` of a serial scan of the reference
+/// BFS's frontiers: top-down levels read every frontier edge (from NVM
+/// when the forward graph is external); bottom-up levels probe each
+/// unvisited vertex's sorted list up to its first frontier neighbor, the
+/// first `k` entries from DRAM and the rest from the offloaded tail.
+fn serial_first_hit_counts(
+    sorted_adj: &[Vec<VertexId>],
+    levels: &[u32],
+    steps: &[(u32, Direction)],
+    forward_external: bool,
+    backward_k: Option<u64>,
+) -> Vec<(u64, u64)> {
+    steps
+        .iter()
+        .map(|&(level, direction)| {
+            let in_frontier = |v: VertexId| levels[v as usize] == level - 1;
+            match direction {
+                Direction::TopDown => {
+                    let scanned: u64 = (0..sorted_adj.len() as VertexId)
+                        .filter(|&v| in_frontier(v))
+                        .map(|v| sorted_adj[v as usize].len() as u64)
+                        .sum();
+                    if forward_external {
+                        (0, scanned)
+                    } else {
+                        (scanned, 0)
+                    }
+                }
+                Direction::BottomUp => {
+                    let (mut dram, mut nvm) = (0, 0);
+                    for (w, list) in sorted_adj.iter().enumerate() {
+                        if levels[w] != INVALID_LEVEL && levels[w] < level {
+                            continue; // visited before this step
+                        }
+                        let probes =
+                            list.iter()
+                                .position(|&v| in_frontier(v))
+                                .map_or(list.len(), |i| i + 1) as u64;
+                        let head = backward_k.map_or(probes, |k| probes.min(k));
+                        dram += head;
+                        nvm += probes - head;
+                    }
+                    (dram, nvm)
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn scanned_edges_equal_a_serial_first_hit_scan() {
+    let edges = kron(11, 23);
+    let base = ScenarioOptions {
+        topology: Topology::new(2, 2),
+        ..Default::default()
+    };
+    let layouts = [
+        ("dram", Scenario::DramOnly, base.clone()),
+        (
+            "split",
+            Scenario::DramPcieFlash,
+            ScenarioOptions {
+                backward_offload_k: Some(4),
+                ..base
+            },
+        ),
+    ];
+    for (label, scenario, opts) in layouts {
+        let backward_k = opts.backward_offload_k;
+        let data = ScenarioData::build(&edges, scenario, opts).unwrap();
+        let sorted_adj: Vec<Vec<VertexId>> = (0..data.num_vertices() as VertexId)
+            .map(|v| {
+                let mut list = data.csr().neighbors(v).to_vec();
+                list.sort_unstable();
+                list
+            })
+            .collect();
+        let roots = select_roots(data.csr().num_vertices(), 2, 5, |v| data.degree(v));
+        let best = scenario.best_policy();
+        let policies: [&dyn DirectionPolicy; 3] = [
+            &best,
+            &AlphaBetaPolicy::new(14.0, 24.0),
+            &FixedPolicy(Direction::BottomUp),
+        ];
+        for &root in &roots {
+            let levels = compute_levels(&reference_bfs(data.csr(), root).parent, root).unwrap();
+            for policy in policies {
+                for threads in THREADS {
+                    let cfg = BfsConfig::paper().with_threads(threads);
+                    let run = data.run(root, policy, &cfg).unwrap();
+                    let steps: Vec<(u32, Direction)> =
+                        run.levels.iter().map(|l| (l.level, l.direction)).collect();
+                    let got: Vec<(u64, u64)> = run
+                        .levels
+                        .iter()
+                        .map(|l| (l.scanned_edges - l.nvm_edges, l.nvm_edges))
+                        .collect();
+                    let want = serial_first_hit_counts(
+                        &sorted_adj,
+                        &levels,
+                        &steps,
+                        scenario != Scenario::DramOnly,
+                        backward_k,
+                    );
+                    assert_eq!(
+                        got,
+                        want,
+                        "{label} root {root} {} threads {threads}: scanned edges differ",
+                        policy.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unsorted_input_on_the_split_layout_matches_reference() {
+    // The caller does not sort: the backward-graph constructor must.
+    let edges = kron(10, 61);
+    let opts = ScenarioOptions {
+        topology: Topology::new(2, 2),
+        sort_neighbors: false,
+        backward_offload_k: Some(4),
+        ..Default::default()
+    };
+    let data = ScenarioData::build(&edges, Scenario::DramPcieFlash, opts).unwrap();
+    let csr = data.csr();
+    assert!(
+        (0..csr.num_vertices() as VertexId).any(|v| !csr.neighbors(v).is_sorted()),
+        "the input CSR must hold unsorted lists for this test to mean anything"
+    );
+    let roots = select_roots(csr.num_vertices(), 3, 11, |v| data.degree(v));
+    let best = Scenario::DramPcieFlash.best_policy();
+    let policies: [&dyn DirectionPolicy; 2] = [&best, &FixedPolicy(Direction::BottomUp)];
+    for &root in &roots {
+        let want = reference_bfs(csr, root).parent;
+        for policy in policies {
+            for threads in THREADS {
+                let cfg = BfsConfig::paper().with_threads(threads);
+                let run = data.run(root, policy, &cfg).unwrap();
+                assert_eq!(
+                    run.parent,
+                    want,
+                    "root {root} {} threads {threads}: parent tree diverged",
+                    policy.label()
+                );
+            }
         }
     }
 }
