@@ -5,18 +5,32 @@
 //! vertex searches … once we find [a frontier vertex]"). The backward
 //! graphs keep each list sorted ascending, so the first hit is also the
 //! smallest frontier neighbor — the canonical min parent that
-//! [`crate::reference_bfs`] and the top-down `fetch_min` claim pick. The
-//! step kernel that drives the probes is
-//! [`par_bottom_up_step`](crate::parallel::par_bottom_up_step).
+//! [`crate::reference_bfs`] and the top-down `fetch_min` claim pick.
 //!
-//! [`BottomUpSource`] abstracts where the neighbor list lives:
+//! Probes run one **work unit** at a time: a vertex range inside one
+//! domain, as handed out by
+//! [`par_bottom_up_step`](crate::parallel::par_bottom_up_step). The
+//! frontier bitmap is read-only during a step, so the probes of a unit
+//! are independent and a source may order their reads as it likes.
+//! [`BottomUpSource`] abstracts where the neighbor lists live:
 //!
-//! * [`BackwardGraph`] — fully in DRAM (the paper's implemented layout);
+//! * [`BackwardGraph`] — fully in DRAM (the paper's implemented layout):
+//!   one plain loop over the unit.
 //! * [`SplitBackwardGraph`] — DRAM head + NVM tail (§VI-E, the extension
 //!   the paper only *estimates*; here it actually runs, counting how many
 //!   probes spill to external memory for Fig. 14). The head holds the
-//!   smallest neighbors, so the tail is read only when none of them is in
-//!   the frontier.
+//!   smallest neighbors, so a tail is read only when none of them is in
+//!   the frontier. The unit is probed in three passes: scan every head;
+//!   fetch the tails of all head-missed vertices as one asynchronous
+//!   device batch ([`ExtCsr::read_neighbors_batch`], the `libaio`
+//!   aggregation of §VI-D); scan each tail to its first hit. The unit
+//!   pays the device access latency once instead of once per spilled
+//!   probe, while the set of reads — and every scanned-edge count — is
+//!   exactly that of a serial probe-by-probe scan.
+//!
+//! [`ExtCsr::read_neighbors_batch`]: sembfs_semext::ExtCsr::read_neighbors_batch
+
+use std::ops::Range;
 
 use sembfs_csr::{BackwardGraph, NeighborCtx, SplitBackwardGraph};
 use sembfs_numa::RangePartition;
@@ -24,15 +38,23 @@ use sembfs_semext::{ReadAt, Result};
 
 use crate::VertexId;
 
-/// Result of probing one vertex's neighbors for a frontier member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchOutcome {
-    /// The frontier neighbor found, if any (becomes the parent).
-    pub parent: Option<VertexId>,
-    /// Neighbor entries examined in DRAM.
+/// Scanned-edge and discovery counts of bottom-up probes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BottomUpOutput {
+    /// Vertices discovered (a frontier neighbor was found).
+    pub discovered: u64,
+    /// Neighbor entries probed in DRAM.
     pub dram_edges: u64,
-    /// Neighbor entries examined on external memory.
+    /// Neighbor entries probed on external memory (split layout only).
     pub nvm_edges: u64,
+}
+
+impl std::ops::AddAssign for BottomUpOutput {
+    fn add_assign(&mut self, rhs: Self) {
+        self.discovered += rhs.discovered;
+        self.dram_edges += rhs.dram_edges;
+        self.nvm_edges += rhs.nvm_edges;
+    }
 }
 
 /// A neighbor source for the bottom-up probe.
@@ -40,17 +62,31 @@ pub trait BottomUpSource: Send + Sync {
     /// The NUMA vertex partition.
     fn partition(&self) -> &RangePartition;
 
-    /// Probe `w`'s neighbors in ascending order; stop at the first
-    /// neighbor for which `in_frontier` is true (the smallest such one).
-    fn search_parent(
+    /// Probe every vertex `w` of `unit` for which `visited(w)` is false:
+    /// walk `w`'s neighbors in ascending order and stop at the first one
+    /// for which `in_frontier` is true (the smallest such one), reporting
+    /// it as `found(w, parent)`. `found` is called at most once per
+    /// vertex, and only for vertices of `unit`.
+    fn probe_unit(
         &self,
-        w: VertexId,
+        unit: Range<u64>,
         ctx: &mut NeighborCtx,
+        visited: impl Fn(VertexId) -> bool,
         in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome>;
+        found: impl FnMut(VertexId, VertexId),
+    ) -> Result<BottomUpOutput>;
 
     /// Full degree of `w` (used for TEPS edge accounting).
     fn full_degree(&self, w: VertexId, ctx: &mut NeighborCtx) -> Result<u64>;
+}
+
+/// The first entry of `list` in the frontier, and how many entries the
+/// scan read to find it (the whole list on a miss).
+fn first_hit(list: &[VertexId], in_frontier: impl Fn(VertexId) -> bool) -> (Option<VertexId>, u64) {
+    match list.iter().position(|&v| in_frontier(v)) {
+        Some(i) => (Some(list[i]), i as u64 + 1),
+        None => (None, list.len() as u64),
+    }
 }
 
 impl BottomUpSource for BackwardGraph {
@@ -58,28 +94,27 @@ impl BottomUpSource for BackwardGraph {
         BackwardGraph::partition(self)
     }
 
-    fn search_parent(
+    fn probe_unit(
         &self,
-        w: VertexId,
+        unit: Range<u64>,
         _ctx: &mut NeighborCtx,
+        visited: impl Fn(VertexId) -> bool,
         in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        let mut scanned = 0u64;
-        for &v in self.neighbors(w) {
-            scanned += 1;
-            if in_frontier(v) {
-                return Ok(SearchOutcome {
-                    parent: Some(v),
-                    dram_edges: scanned,
-                    nvm_edges: 0,
-                });
+        mut found: impl FnMut(VertexId, VertexId),
+    ) -> Result<BottomUpOutput> {
+        let mut out = BottomUpOutput::default();
+        for w in unit.map(|w| w as VertexId) {
+            if visited(w) {
+                continue;
+            }
+            let (parent, scanned) = first_hit(self.neighbors(w), &in_frontier);
+            out.dram_edges += scanned;
+            if let Some(p) = parent {
+                found(w, p);
+                out.discovered += 1;
             }
         }
-        Ok(SearchOutcome {
-            parent: None,
-            dram_edges: scanned,
-            nvm_edges: 0,
-        })
+        Ok(out)
     }
 
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
@@ -92,56 +127,50 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
         SplitBackwardGraph::partition(self)
     }
 
-    fn search_parent(
+    fn probe_unit(
         &self,
-        w: VertexId,
+        unit: Range<u64>,
         ctx: &mut NeighborCtx,
+        visited: impl Fn(VertexId) -> bool,
         in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        // Hot head first — usually terminates here (§VI-E's premise).
-        let mut dram_edges = 0u64;
-        for &v in self.head_neighbors(w) {
-            dram_edges += 1;
-            if in_frontier(v) {
-                return Ok(SearchOutcome {
-                    parent: Some(v),
-                    dram_edges,
-                    nvm_edges: 0,
-                });
+        mut found: impl FnMut(VertexId, VertexId),
+    ) -> Result<BottomUpOutput> {
+        let mut out = BottomUpOutput::default();
+        // Pass 1: the hot DRAM heads — usually the probe ends here
+        // (§VI-E's premise).
+        let mut missed = Vec::new();
+        for w in unit.map(|w| w as VertexId) {
+            if visited(w) {
+                continue;
+            }
+            let (parent, scanned) = first_hit(self.head_neighbors(w), &in_frontier);
+            out.dram_edges += scanned;
+            match parent {
+                Some(p) => {
+                    found(w, p);
+                    out.discovered += 1;
+                }
+                None => missed.push(w as u64),
             }
         }
-        // Cold tail: stream from external memory.
-        let mut nvm_edges = 0u64;
-        let parent = self.with_tail_neighbors(w, ctx, |ns| {
-            for &v in ns {
-                nvm_edges += 1;
-                if in_frontier(v) {
-                    return Some(v);
-                }
+        // Pass 2: every missed vertex's cold tail in one device batch (an
+        // empty tail adds no request); pass 3: scan each to its first hit.
+        self.tail()
+            .read_neighbors_batch(&missed, &ctx.reader, &mut ctx.batch)?;
+        for (&w, tail) in missed.iter().zip(&ctx.batch.outs) {
+            let (parent, scanned) = first_hit(tail, &in_frontier);
+            out.nvm_edges += scanned;
+            if let Some(p) = parent {
+                found(w as VertexId, p);
+                out.discovered += 1;
             }
-            None
-        })?;
-        Ok(SearchOutcome {
-            parent,
-            dram_edges,
-            nvm_edges,
-        })
+        }
+        Ok(out)
     }
 
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
         Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w)?)
     }
-}
-
-/// Output of one bottom-up step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BottomUpOutput {
-    /// Vertices discovered (set in `next`).
-    pub discovered: u64,
-    /// Neighbor entries probed in DRAM.
-    pub dram_edges: u64,
-    /// Neighbor entries probed on external memory (split layout only).
-    pub nvm_edges: u64,
 }
 
 #[cfg(test)]
@@ -154,8 +183,13 @@ mod tests {
     use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
     use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
-    use sembfs_semext::{FileBackend, TempDir};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use sembfs_semext::{
+        BatchRead, DelayMode, Device, DeviceProfile, Error, FaultPlan, FileBackend, NvmStore,
+        PageIntegrity, TempDir,
+    };
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn backward(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> BackwardGraph {
         let el = MemEdgeList::new(n, edges);
@@ -188,6 +222,27 @@ mod tests {
             None,
         )
         .unwrap()
+    }
+
+    /// Probe the single vertex `w`: its parent and (DRAM, NVM) scanned
+    /// edges.
+    fn probe<B: BottomUpSource>(
+        b: &B,
+        w: VertexId,
+        in_frontier: impl Fn(VertexId) -> bool,
+    ) -> (Option<VertexId>, u64, u64) {
+        let mut parent = None;
+        let out = b
+            .probe_unit(
+                w as u64..w as u64 + 1,
+                &mut NeighborCtx::dram(),
+                |_| false,
+                in_frontier,
+                |_, p| parent = Some(p),
+            )
+            .unwrap();
+        assert_eq!(out.discovered, parent.is_some() as u64);
+        (parent, out.dram_edges, out.nvm_edges)
     }
 
     #[test]
@@ -245,17 +300,25 @@ mod tests {
         domains: usize,
         dir: &TempDir,
     ) -> SplitBackwardGraph<FileBackend> {
+        split_source_with(csr, k, domains, dir, |p| FileBackend::open(p).unwrap())
+    }
+
+    /// A split layout whose tail files are opened by `open`.
+    fn split_source_with<R: ReadAt>(
+        csr: &CsrGraph,
+        k: u64,
+        domains: usize,
+        dir: &TempDir,
+        open: impl Fn(&Path) -> R,
+    ) -> SplitBackwardGraph<R> {
         let (head, ti, tv) = split_csr(csr, k);
         let ip = dir.path().join("tail.index");
         let vp = dir.path().join("tail.values");
         write_csr_files(&ip, &vp, &ti, &tv).unwrap();
-        let tail = ExtCsr::new(
-            FileBackend::open(&ip).unwrap(),
-            FileBackend::open(&vp).unwrap(),
-        )
-        .unwrap()
-        .with_dram_index()
-        .unwrap();
+        let tail = ExtCsr::new(open(&ip), open(&vp))
+            .unwrap()
+            .with_dram_index()
+            .unwrap();
         SplitBackwardGraph::new(
             head,
             tail,
@@ -281,12 +344,8 @@ mod tests {
         let dir = TempDir::new("bu-split").unwrap();
         let sbg = split_source(&csr, 2, 1, &dir);
 
-        let mut ctx = NeighborCtx::dram();
-        let so = sbg.search_parent(5, &mut ctx, |v| v == 4).unwrap();
-        assert_eq!(so.parent, Some(4));
-        assert_eq!(so.dram_edges, 2);
-        assert_eq!(so.nvm_edges, 3);
-        assert_eq!(sbg.full_degree(5, &mut ctx).unwrap(), 5);
+        assert_eq!(probe(&sbg, 5, |v| v == 4), (Some(4), 2, 3));
+        assert_eq!(sbg.full_degree(5, &mut NeighborCtx::dram()).unwrap(), 5);
     }
 
     #[test]
@@ -297,10 +356,7 @@ mod tests {
         let el = MemEdgeList::new(4, vec![(3, 2), (3, 0), (3, 1)]);
         let csr = build_csr(&el, BuildOptions::default()).unwrap();
         let bg = BackwardGraph::new(csr, RangePartition::new(4, 1));
-        let mut ctx = NeighborCtx::dram();
-        let so = bg.search_parent(3, &mut ctx, |v| v == 1 || v == 2).unwrap();
-        assert_eq!(so.parent, Some(1));
-        assert_eq!((so.dram_edges, so.nvm_edges), (2, 0));
+        assert_eq!(probe(&bg, 3, |v| v == 1 || v == 2), (Some(1), 2, 0));
     }
 
     #[test]
@@ -313,17 +369,8 @@ mod tests {
         let csr = build_csr(&el, BuildOptions::default()).unwrap();
         let dir = TempDir::new("bu-firsthit").unwrap();
         let sbg = split_source(&csr, 2, 1, &dir);
-        let mut ctx = NeighborCtx::dram();
-        let so = sbg
-            .search_parent(5, &mut ctx, |v| v == 1 || v == 3)
-            .unwrap();
-        assert_eq!(so.parent, Some(1));
-        assert_eq!((so.dram_edges, so.nvm_edges), (2, 0));
-        let so = sbg
-            .search_parent(5, &mut ctx, |v| v == 3 || v == 4)
-            .unwrap();
-        assert_eq!(so.parent, Some(3));
-        assert_eq!((so.dram_edges, so.nvm_edges), (2, 2));
+        assert_eq!(probe(&sbg, 5, |v| v == 1 || v == 3), (Some(1), 2, 0));
+        assert_eq!(probe(&sbg, 5, |v| v == 3 || v == 4), (Some(3), 2, 2));
     }
 
     #[test]
@@ -339,11 +386,7 @@ mod tests {
         .unwrap();
         let dir = TempDir::new("bu-split-hit").unwrap();
         let sbg = split_source(&csr, 2, 1, &dir);
-        let mut ctx = NeighborCtx::dram();
-        let so = sbg.search_parent(5, &mut ctx, |v| v == 0).unwrap();
-        assert_eq!(so.parent, Some(0));
-        assert_eq!(so.dram_edges, 1);
-        assert_eq!(so.nvm_edges, 0);
+        assert_eq!(probe(&sbg, 5, |v| v == 0), (Some(0), 1, 0));
     }
 
     #[test]
@@ -399,5 +442,149 @@ mod tests {
         let (d2, p2) = run(true);
         assert_eq!(d1, d2);
         assert_eq!(p1, p2);
+    }
+
+    /// `n` vertices on a path, each also adjacent to the hub `n - 1`:
+    /// vertex `w`'s sorted list is `[w - 1, w + 1, n - 1]`. With the hub as
+    /// the only frontier vertex and `k = 1`, every other probe misses its
+    /// head and finds the hub in its tail.
+    fn path_plus_hub(n: u32) -> CsrGraph {
+        let mut edges: Vec<(u32, u32)> = (0..n - 2).map(|w| (w, w + 1)).collect();
+        edges.extend((0..n - 1).map(|w| (w, n - 1)));
+        let el = MemEdgeList::new(n as u64, edges);
+        build_csr(&el, BuildOptions::default()).unwrap()
+    }
+
+    /// A store that counts how it is called.
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: FileBackend,
+        read_at_calls: Arc<AtomicU64>,
+        batch_calls: Arc<AtomicU64>,
+    }
+
+    impl ReadAt for CountingStore {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.read_at_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_at(offset, buf)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn read_batch_at(&self, reqs: &mut [BatchRead<'_>]) -> Result<()> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_batch_at(reqs)
+        }
+    }
+
+    #[test]
+    fn split_step_submits_one_tail_batch_per_work_unit() {
+        // 10,000 vertices in 2 domains: 4 work units of ≤4096 vertices.
+        let n = 10_000u32;
+        let units = 4;
+        let csr = path_plus_hub(n);
+        let dir = TempDir::new("bu-batch-shape").unwrap();
+        let read_at_calls = Arc::new(AtomicU64::new(0));
+        let batch_calls = Arc::new(AtomicU64::new(0));
+        let sbg = split_source_with(&csr, 1, 2, &dir, |p| CountingStore {
+            inner: FileBackend::open(p).unwrap(),
+            read_at_calls: read_at_calls.clone(),
+            batch_calls: batch_calls.clone(),
+        });
+        for threads in [1, 2, 4] {
+            // Pinning the index read it once at construction; count only
+            // the step's calls.
+            read_at_calls.store(0, Ordering::Relaxed);
+            batch_calls.store(0, Ordering::Relaxed);
+            let parent = new_parent_array(n as u64, n - 1);
+            let visited = AtomicBitmap::new(n as u64);
+            visited.set(n - 1);
+            let frontier = AtomicBitmap::new(n as u64);
+            frontier.set(n - 1);
+            let next = AtomicBitmap::new(n as u64);
+            let out = par_bottom_up_step(
+                &sbg,
+                &frontier,
+                &next,
+                &parent,
+                &visited,
+                threads,
+                &NeighborCtx::dram,
+                None,
+            )
+            .unwrap();
+            assert_eq!(out.discovered, n as u64 - 1, "{threads} threads");
+            // Vertex 0's tail is [hub]; every other tail is [w + 1, hub].
+            assert_eq!(out.nvm_edges, 1 + 2 * (n as u64 - 3) + 1);
+            assert_eq!(read_at_calls.load(Ordering::Relaxed), 0);
+            let batches = batch_calls.load(Ordering::Relaxed);
+            assert!(
+                (1..=units).contains(&batches),
+                "{threads} threads: {batches} batch submissions for {units} units"
+            );
+        }
+    }
+
+    /// The path-plus-hub split layout on an Accounting-mode device with
+    /// sealed page checksums, and one tail page torn after sealing.
+    fn torn_tail(
+        plan: Option<FaultPlan>,
+        dir: &TempDir,
+    ) -> SplitBackwardGraph<NvmStore<FileBackend>> {
+        let profile = DeviceProfile::iodrive2();
+        let device = match plan {
+            Some(plan) => Device::with_fault_plan(profile, DelayMode::Accounting, plan),
+            None => Device::new(profile, DelayMode::Accounting),
+        };
+        let sbg = split_source_with(&path_plus_hub(10_000), 1, 2, dir, |p| {
+            let sums = PageIntegrity::seal_store(&FileBackend::open(p).unwrap()).unwrap();
+            NvmStore::new(FileBackend::open(p).unwrap(), device.clone())
+                .with_integrity(Arc::new(sums))
+        });
+        let victim = dir.path().join("tail.values");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[3 * 4096 + 17] ^= 0x40;
+        std::fs::write(&victim, &bytes).unwrap();
+        sbg
+    }
+
+    #[test]
+    fn torn_tail_page_fails_the_step_with_a_typed_error() {
+        let plans = [
+            None,
+            Some(FaultPlan::parse("seed=5,eio=0.05,retries=3").unwrap()),
+        ];
+        for plan in plans {
+            let faulted = plan.is_some();
+            let dir = TempDir::new("bu-torn-tail").unwrap();
+            let sbg = torn_tail(plan, &dir);
+            let n = 10_000u32;
+            let parent = new_parent_array(n as u64, n - 1);
+            let visited = AtomicBitmap::new(n as u64);
+            visited.set(n - 1);
+            let frontier = AtomicBitmap::new(n as u64);
+            frontier.set(n - 1);
+            let next = AtomicBitmap::new(n as u64);
+            let err = par_bottom_up_step(
+                &sbg,
+                &frontier,
+                &next,
+                &parent,
+                &visited,
+                2,
+                &NeighborCtx::dram,
+                None,
+            )
+            .expect_err("a torn tail page must fail the step");
+            assert!(
+                matches!(
+                    err,
+                    Error::ChecksumMismatch { page: 3, .. } | Error::RetriesExhausted { .. }
+                ),
+                "fault plan {faulted}: got {err:?}"
+            );
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The hybrid BFS driver (§III-C, §V-C).
 //!
-//! A level-synchronous loop that starts top-down from the root, consults a
-//! [`DirectionPolicy`] before every level, converts the frontier between
-//! queue and bitmap forms at switches, and records a [`LevelStats`] per
-//! level (including the monitored NVM device's I/O delta, which feeds
-//! Figs. 11–13).
+//! A level-synchronous loop that holds the root as a one-vertex top-down
+//! frontier, consults a [`DirectionPolicy`] before every level (the first
+//! included), converts the frontier between queue and bitmap forms at
+//! switches, and records a [`LevelStats`] per level (including the
+//! monitored NVM device's I/O delta, which feeds Figs. 11–13).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -41,7 +41,9 @@ pub struct BfsConfig {
     pub count_frontier_edges: bool,
     /// Submit each top-down dequeue batch as one asynchronous device
     /// batch (`libaio`-style aggregation, §VI-D) instead of synchronous
-    /// per-vertex reads. Only affects semi-external forward graphs.
+    /// per-vertex reads. Only affects top-down levels on semi-external
+    /// forward graphs: bottom-up tail reads of a split backward graph are
+    /// always batched per work unit.
     pub aggregate_io: bool,
     /// Page cache fronting the forward graph's stores: its counters are
     /// snapshotted per level ([`LevelStats::cache`]) and its presence
@@ -380,8 +382,12 @@ where
 
 /// Run a hybrid BFS from `root` over `forward`/`backward` using `policy`.
 ///
-/// The first level always runs top-down from the root (§III-C: "we first
-/// start BFS from a source vertex by using the top-down approach").
+/// The search starts from the root as a one-vertex top-down frontier, and
+/// the policy decides the direction of every level from level 1 on.
+/// §III-C starts top-down ("we first start BFS from a source vertex by
+/// using the top-down approach"), but the α/β rule sends level 1
+/// bottom-up as soon as `n / α < 1`, as the paper-tuned α = 10⁶ does on
+/// graphs below a million vertices.
 pub fn hybrid_bfs<G, B, P>(
     forward: &G,
     backward: &B,

@@ -44,7 +44,7 @@ pub mod scenario;
 pub mod tree;
 
 pub use bitmap::AtomicBitmap;
-pub use bottomup::{BottomUpSource, SearchOutcome};
+pub use bottomup::{BottomUpOutput, BottomUpSource};
 pub use energy::PowerModel;
 pub use hybrid::{hybrid_bfs, hybrid_bfs_distances, BfsConfig, BfsRun, DistanceRun};
 pub use level_stats::{Direction, LevelStats};

@@ -14,11 +14,14 @@
 //!   early proposer would suppress a smaller later one.
 //! * **Bottom-up** range-partitions the unvisited vertices (each has a
 //!   unique owner, so plain stores suffice) and stops each probe at the
-//!   first frontier neighbor ([`BottomUpSource::search_parent`], Fig. 2's
-//!   early exit). The backward graphs keep every neighbor list sorted
-//!   ascending, so **the first hit is the min parent**: no probe reads
-//!   past it, and the split layout's NVM tail is read only when no
-//!   frontier neighbor sits in the DRAM head.
+//!   first frontier neighbor (Fig. 2's early exit). The backward graphs
+//!   keep every neighbor list sorted ascending, so **the first hit is the
+//!   min parent**: no probe reads past it, and the split layout's NVM
+//!   tail is read only when no frontier neighbor sits in the DRAM head.
+//!   Each work unit is probed as a whole
+//!   ([`BottomUpSource::probe_unit`]): on the split layout all of the
+//!   unit's tail reads go to the device as one asynchronous batch, so a
+//!   unit waits out one access latency instead of one per spilled probe.
 //!
 //! Both graphs derive from the same bidirectional CSR, so "`w`'s smallest
 //! frontier neighbor" is the same vertex in either direction — the min
@@ -28,7 +31,9 @@
 //! over (domain × frontier-chunk) units top-down and (domain ×
 //! vertex-range) units bottom-up. Idle workers immediately claim the next
 //! unit, so on the semi-external path all workers issue page reads
-//! concurrently and their throttled `Device::wait_until` windows overlap.
+//! concurrently and their throttled `Device::wait_until` windows overlap;
+//! bottom-up, each worker's unit batch keeps many requests in flight on
+//! top of that.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -182,8 +187,11 @@ pub fn par_top_down_step<G: DomainNeighbors>(
 /// Each probe stops at the first frontier neighbor. `b`'s lists are
 /// ascending, so that neighbor is the **smallest** one and the parent
 /// tree matches the min-parent top-down claim and
-/// [`crate::reference_bfs`]. The scanned-edge counts are those of a
-/// serial first-hit scan, at any thread count.
+/// [`crate::reference_bfs`]. Workers claim `BOTTOM_UP_CHUNK`-vertex units
+/// of one domain and probe each with one
+/// [`BottomUpSource::probe_unit`] call. The scanned-edge counts — and on
+/// the split layout the set of device reads — are those of a serial
+/// first-hit scan, at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn par_bottom_up_step<B: BottomUpSource>(
     b: &B,
@@ -210,11 +218,7 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
         }
     }
     if units.is_empty() {
-        return Ok(BottomUpOutput {
-            discovered: 0,
-            dram_edges: 0,
-            nvm_edges: 0,
-        });
+        return Ok(BottomUpOutput::default());
     }
 
     let cursor = AtomicUsize::new(0);
@@ -230,11 +234,7 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
                         let tracer = sembfs_obs::global();
                         let step_start = tracer.is_enabled().then(|| tracer.now_ns());
                         let mut ctx = make_ctx();
-                        let mut out = BottomUpOutput {
-                            discovered: 0,
-                            dram_edges: 0,
-                            nvm_edges: 0,
-                        };
+                        let mut out = BottomUpOutput::default();
                         let mut local = counters.map(|_| LocalDomainCounters::new(domains));
                         loop {
                             let u = cursor.fetch_add(1, Ordering::Relaxed);
@@ -242,20 +242,12 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
                                 break;
                             }
                             let (k, ref range) = units[u];
-                            for w in range.clone() {
-                                let w = w as VertexId;
-                                if visited.get(w) {
-                                    continue;
-                                }
-                                let so = b.search_parent(w, &mut ctx, |v| frontier.get(v))?;
-                                out.dram_edges += so.dram_edges;
-                                out.nvm_edges += so.nvm_edges;
-                                if let Some(local) = local.as_mut() {
-                                    // Probes read w's own adjacency list —
-                                    // domain-local by construction.
-                                    local.record(k, k, so.dram_edges + so.nvm_edges);
-                                }
-                                if let Some(p) = so.parent {
+                            let unit = b.probe_unit(
+                                range.clone(),
+                                &mut ctx,
+                                |w| visited.get(w),
+                                |v| frontier.get(v),
+                                |w, p| {
                                     // w has a unique owner unit: plain
                                     // store, and the frontier bitmap (not
                                     // visited) arbitrates searches, so
@@ -263,9 +255,15 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
                                     parent[w as usize].store(p, Ordering::Relaxed);
                                     visited.set(w);
                                     next.set(w);
-                                    out.discovered += 1;
-                                }
+                                },
+                            )?;
+                            if let Some(local) = local.as_mut() {
+                                // Probes read their own vertices'
+                                // adjacency lists — domain-local by
+                                // construction.
+                                local.record(k, k, unit.dram_edges + unit.nvm_edges);
                             }
+                            out += unit;
                         }
                         if let Some(start_ns) = step_start {
                             tracer.span(
@@ -287,16 +285,10 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
                 .collect()
         });
 
-    let mut total = BottomUpOutput {
-        discovered: 0,
-        dram_edges: 0,
-        nvm_edges: 0,
-    };
+    let mut total = BottomUpOutput::default();
     for r in results {
         let (out, local) = r?;
-        total.discovered += out.discovered;
-        total.dram_edges += out.dram_edges;
-        total.nvm_edges += out.nvm_edges;
+        total += out;
         if let (Some(counters), Some(local)) = (counters, local) {
             counters.merge(&local);
         }

@@ -11,7 +11,8 @@
 //! implementation"): only the first `k_limit` neighbors of each vertex
 //! stay in DRAM (the hot head — bottom-up usually terminates within a few
 //! probes), while the tail is offloaded to external memory and streamed
-//! only when the head is exhausted.
+//! only when the head is exhausted. The bottom-up kernel fetches the
+//! tails of a whole work unit at once, as one batch on the [`ExtCsr`].
 //!
 //! Both forms guarantee **ascending neighbor lists**, whatever order the
 //! input CSR has: [`BackwardGraph::new`] and [`split_csr`] sort any list

@@ -19,7 +19,7 @@
 //! * [`sink`] — JSONL trace export/import and a Chrome `trace_event`
 //!   converter for flame-style inspection (`chrome://tracing`, Perfetto).
 //! * [`report`] — reconstructs per-run, per-level tables (direction,
-//!   frontier, MTEPS, NVM MiB, cache hit rate, avgqu-sz) from a trace
+//!   frontier, Medges/s, NVM MiB, cache hit rate, avgqu-sz) from a trace
 //!   alone; this backs the `sembfs report` subcommand.
 //!
 //! `Device` here means `sembfs_semext::Device`; this crate is a leaf (std

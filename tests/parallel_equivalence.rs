@@ -11,10 +11,14 @@
 //! The same holds for the work counters: the bottom-up probe stops at its
 //! first frontier neighbor on sorted backward lists, so every level's
 //! DRAM and NVM scanned-edge counts equal those of a serial first-hit
-//! scan of the reference frontiers, at every thread count.
+//! scan of the reference frontiers, at every thread count. On the split
+//! layouts each level's device requests and bytes also equal those of a
+//! serial probe-by-probe scan: the bottom-up kernel submits a work unit's
+//! tail reads as one batch, which changes when the reads wait, not which
+//! reads happen.
 
 use sembfs::prelude::*;
-use sembfs::semext::{DeviceProfile, FaultPlan};
+use sembfs::semext::{ChunkedReader, DeviceProfile, FaultPlan};
 use sembfs_csr::{build_csr, BuildOptions};
 use sembfs_graph500::validate::{compute_levels, ValidationReport, INVALID_LEVEL};
 
@@ -206,6 +210,73 @@ fn serial_first_hit_counts(
         .collect()
 }
 
+/// Per-level `(requests, bytes)` a serial probe-by-probe scan of the
+/// reference frontiers issues on the split layout's device. Top-down
+/// levels read, per frontier vertex and domain, the forward index pair
+/// and the domain's neighbor span; bottom-up levels read the whole tail
+/// (`list[k..]`) of every unvisited vertex whose DRAM head (`list[..k]`)
+/// holds no frontier neighbor. Each span is split into requests of at
+/// most the reader's merge limit, and bytes are physical (whole device
+/// transfer units).
+fn serial_first_hit_io(
+    sorted_adj: &[Vec<VertexId>],
+    levels: &[u32],
+    steps: &[(u32, Direction)],
+    backward_k: u64,
+    part: &RangePartition,
+    device: &Device,
+) -> Vec<(u64, u64)> {
+    let reader = ChunkedReader::for_device(device);
+    let device = device.profile();
+    let span = |bytes: u64| -> (u64, u64) {
+        let requests = reader.requests_for(bytes as usize) as u64;
+        let limit = reader.merge_limit() as u64;
+        let (mut rest, mut physical) = (bytes, 0);
+        while rest > 0 {
+            let take = rest.min(limit);
+            physical += device.physical_bytes(take);
+            rest -= take;
+        }
+        (requests, physical)
+    };
+    steps
+        .iter()
+        .map(|&(level, direction)| {
+            let in_frontier = |v: VertexId| levels[v as usize] == level - 1;
+            let (mut requests, mut bytes) = (0, 0);
+            let mut add = |(r, b): (u64, u64)| {
+                requests += r;
+                bytes += b;
+            };
+            for (w, list) in sorted_adj.iter().enumerate() {
+                match direction {
+                    Direction::TopDown if in_frontier(w as VertexId) => {
+                        for k in 0..part.num_domains() {
+                            let in_k = list
+                                .iter()
+                                .filter(|&&v| part.domain_of(v as u64) == k)
+                                .count() as u64;
+                            add((1, device.physical_bytes(16)));
+                            add(span(4 * in_k));
+                        }
+                    }
+                    Direction::BottomUp => {
+                        if levels[w] != INVALID_LEVEL && levels[w] < level {
+                            continue; // visited before this step
+                        }
+                        let cut = (backward_k as usize).min(list.len());
+                        if !list[..cut].iter().any(|&v| in_frontier(v)) {
+                            add(span(4 * (list.len() - cut) as u64));
+                        }
+                    }
+                    Direction::TopDown => {}
+                }
+            }
+            (requests, bytes)
+        })
+        .collect()
+}
+
 #[test]
 fn scanned_edges_equal_a_serial_first_hit_scan() {
     let edges = kron(11, 23);
@@ -213,18 +284,17 @@ fn scanned_edges_equal_a_serial_first_hit_scan() {
         topology: Topology::new(2, 2),
         ..Default::default()
     };
+    let split = |k: u64| ScenarioOptions {
+        backward_offload_k: Some(k),
+        ..base.clone()
+    };
     let layouts = [
         ("dram", Scenario::DramOnly, base.clone()),
-        (
-            "split",
-            Scenario::DramPcieFlash,
-            ScenarioOptions {
-                backward_offload_k: Some(4),
-                ..base
-            },
-        ),
+        ("split k=4", Scenario::DramPcieFlash, split(4)),
+        ("split k=16", Scenario::DramPcieFlash, split(16)),
     ];
     for (label, scenario, opts) in layouts {
+        assert_eq!(opts.delay_mode, DelayMode::Accounting);
         let backward_k = opts.backward_offload_k;
         let data = ScenarioData::build(&edges, scenario, opts).unwrap();
         let sorted_adj: Vec<Vec<VertexId>> = (0..data.num_vertices() as VertexId)
@@ -265,6 +335,28 @@ fn scanned_edges_equal_a_serial_first_hit_scan() {
                         got,
                         want,
                         "{label} root {root} {} threads {threads}: scanned edges differ",
+                        policy.label()
+                    );
+                    let (Some(k), Some(device)) = (backward_k, data.device()) else {
+                        continue;
+                    };
+                    let got_io: Vec<(u64, u64)> = run
+                        .levels
+                        .iter()
+                        .map(|l| l.io.map(|io| (io.requests, io.bytes)).unwrap())
+                        .collect();
+                    let want_io = serial_first_hit_io(
+                        &sorted_adj,
+                        &levels,
+                        &steps,
+                        k,
+                        data.partition(),
+                        device,
+                    );
+                    assert_eq!(
+                        got_io,
+                        want_io,
+                        "{label} root {root} {} threads {threads}: device requests/bytes differ",
                         policy.label()
                     );
                 }
