@@ -4,8 +4,9 @@
 //! "we may exploit further I/O performance of the devices by aggregating
 //! small I/O operations such as libaio library". This implements that
 //! aggregation — every top-down dequeue batch (64 vertices) becomes one
-//! asynchronous device submission paying the access latency once — and
-//! compares it against the synchronous per-request baseline.
+//! asynchronous device submission paying the access latency once and
+//! reading the batch's page footprint as merged page runs — and compares
+//! it against the synchronous per-request baseline.
 
 use sembfs_bench::{mteps, BenchEnv, Table};
 use sembfs_core::{AlphaBetaPolicy, BfsConfig, Scenario};

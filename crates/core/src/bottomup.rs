@@ -23,10 +23,13 @@
 //!   the frontier. The unit is probed in three passes: scan every head;
 //!   fetch the tails of all head-missed vertices as one asynchronous
 //!   device batch ([`ExtCsr::read_neighbors_batch`], the `libaio`
-//!   aggregation of §VI-D); scan each tail to its first hit. The unit
-//!   pays the device access latency once instead of once per spilled
-//!   probe, while the set of reads — and every scanned-edge count — is
-//!   exactly that of a serial probe-by-probe scan.
+//!   aggregation of §VI-D); scan each tail to its first hit. Tails sit
+//!   in vertex order in the tail file, so a unit's tails share pages:
+//!   the batch reads their page footprint, each page once, as runs of
+//!   contiguous pages up to the device's merge limit. The unit pays the
+//!   device access latency once instead of once per spilled probe and
+//!   moves each tail page once instead of once per tail on it; every
+//!   scanned-edge count is exactly that of a serial probe-by-probe scan.
 //!
 //! [`ExtCsr::read_neighbors_batch`]: sembfs_semext::ExtCsr::read_neighbors_batch
 

@@ -45,8 +45,9 @@ use crate::bitmap::AtomicBitmap;
 use crate::bottomup::{BottomUpOutput, BottomUpSource};
 use crate::{VertexId, INVALID_PARENT};
 
-/// Vertices per bottom-up work unit.
-const BOTTOM_UP_CHUNK: u64 = 4096;
+/// Vertices per bottom-up work unit: [`par_bottom_up_step`] cuts each
+/// domain's vertex range into units of at most this many vertices.
+pub const BOTTOM_UP_CHUNK: u64 = 4096;
 
 /// Output of one top-down step.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,6 +6,8 @@
 //! span in ≤4 KiB chunks. [`ExtCsr`] implements exactly that, over any
 //! [`ReadAt`] store (a metered [`NvmStore`](crate::NvmStore) in the
 //! scenarios, plain backends in tests).
+//! [`ExtCsr::read_neighbors_batch`] reads many vertices' lists at once,
+//! as one submission of merged page runs per file.
 //!
 //! The index can optionally be pinned in DRAM
 //! ([`ExtCsr::with_dram_index`]) — an optimization knob the ablation
@@ -152,13 +154,23 @@ impl<R: ReadAt> ExtCsr<R> {
     }
 
     /// Read several vertices' neighbor lists with at most **two batched
-    /// device submissions** — one for the index pairs, one for all value
-    /// spans — the `libaio`-style aggregation §VI-D proposes. Results land
-    /// in `batch.outs[i]` for `vs[i]`.
+    /// device submissions** — one for the index pairs (none with a DRAM
+    /// index), one for the value spans — the `libaio`-style aggregation
+    /// §VI-D proposes. Results land in `batch.outs[i]` for `vs[i]`; `vs`
+    /// may be in any order and hold duplicates.
     ///
-    /// Equivalent to calling [`read_neighbors`](Self::read_neighbors) per
-    /// vertex, but the device access latency is paid per *batch* instead
-    /// of per request (see [`crate::Device::read_batch`]).
+    /// Each submission reads the **page footprint** of its spans, not the
+    /// spans themselves: every span is rounded out to whole
+    /// [`app_chunk`](ChunkedReader::app_chunk) pages, and the union of
+    /// those pages goes to the device as runs of contiguous pages of at
+    /// most [`merge_limit`](ChunkedReader::merge_limit) bytes — the
+    /// block-layer merging behind the paper's Fig. 13 request sizes. A
+    /// page shared by neighbouring lists is read once per call.
+    ///
+    /// Returns the same lists as [`read_neighbors`](Self::read_neighbors)
+    /// per vertex, but the device access latency is paid per *batch*
+    /// (see [`crate::Device::read_batch`]) and small spans on one page
+    /// share one request.
     pub fn read_neighbors_batch(
         &self,
         vs: &[u64],
@@ -182,8 +194,6 @@ impl<R: ReadAt> ExtCsr<R> {
         batch: &mut NeighborBatch,
         prefetch: bool,
     ) -> Result<()> {
-        use crate::backend::BatchRead;
-
         batch.outs.resize_with(vs.len(), Vec::new);
         for out in batch.outs.iter_mut() {
             out.clear();
@@ -191,53 +201,44 @@ impl<R: ReadAt> ExtCsr<R> {
         if vs.is_empty() {
             return Ok(());
         }
+        if let Some(&v) = vs.iter().find(|&&v| v >= self.num_vertices) {
+            return Err(Error::OutOfBounds {
+                offset: v,
+                len: 1,
+                size: self.num_vertices,
+            });
+        }
 
-        // Pass 1: neighbor ranges — batched index-pair reads when the
-        // index lives on the device.
+        // Pass 1: neighbor ranges — the index pairs' pages in one batch
+        // when the index lives on the device.
         batch.ranges.clear();
         if let Some(idx) = &self.dram_index {
-            for &v in vs {
-                if v >= self.num_vertices {
-                    return Err(Error::OutOfBounds {
-                        offset: v,
-                        len: 1,
-                        size: self.num_vertices,
-                    });
-                }
-                batch.ranges.push((idx[v as usize], idx[v as usize + 1]));
-            }
+            batch
+                .ranges
+                .extend(vs.iter().map(|&v| (idx[v as usize], idx[v as usize + 1])));
         } else {
-            batch.bytes.clear();
-            batch.bytes.resize(vs.len() * 16, 0);
-            {
-                let mut reqs = Vec::with_capacity(vs.len());
-                let mut rest = batch.bytes.as_mut_slice();
-                for &v in vs {
-                    if v >= self.num_vertices {
-                        return Err(Error::OutOfBounds {
-                            offset: v,
-                            len: 1,
-                            size: self.num_vertices,
-                        });
-                    }
-                    let (head, tail) = rest.split_at_mut(16);
-                    reqs.push(BatchRead {
-                        offset: self.index.byte_offset(v),
-                        buf: head,
-                    });
-                    rest = tail;
-                }
-                self.index.store().read_batch_at(&mut reqs)?;
-            }
-            for chunk in batch.bytes.chunks_exact(16) {
-                let s = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-                let e = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes"));
+            let pair = |v: u64| {
+                let offset = self.index.byte_offset(v);
+                (offset, offset + 16)
+            };
+            batch
+                .staged
+                .read(self.index.store(), vs.iter().map(|&v| pair(v)), reader)?;
+            for &v in vs {
+                let bytes = batch.staged.slice(pair(v).0, 16);
+                let s = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+                let e = u64::from_le_bytes(bytes[8..].try_into().expect("8 bytes"));
                 batch.ranges.push((s, e));
             }
         }
 
-        // Pass 2: all value spans in one submission, each span chunked to
-        // the reader's merge limit.
+        if let Some(&(s, e)) = batch.ranges.iter().find(|&&(s, e)| s > e) {
+            return Err(Error::Corrupt(format!(
+                "CSR index range [{s}, {e}) is reversed"
+            )));
+        }
+
+        // Pass 2: the value spans' pages in one batch.
         let total_bytes: usize = batch
             .ranges
             .iter()
@@ -261,33 +262,16 @@ impl<R: ReadAt> ExtCsr<R> {
                 self.values.store().prefetch(lo * 4, window as u64)?;
             }
         }
-        batch.bytes.clear();
-        batch.bytes.resize(total_bytes, 0);
-        {
-            let merge = reader.merge_limit();
-            let mut reqs = Vec::new();
-            let mut rest = batch.bytes.as_mut_slice();
-            for &(s, e) in &batch.ranges {
-                let mut offset = s * 4;
-                let mut remaining = (e - s) as usize * 4;
-                while remaining > 0 {
-                    let take = remaining.min(merge);
-                    let (head, tail) = rest.split_at_mut(take);
-                    reqs.push(BatchRead { offset, buf: head });
-                    rest = tail;
-                    offset += take as u64;
-                    remaining -= take;
-                }
+        let value_span = |&(s, e): &(u64, u64)| (s * 4, e * 4);
+        batch.staged.read(
+            self.values.store(),
+            batch.ranges.iter().map(value_span),
+            reader,
+        )?;
+        for (out, &(s, e)) in batch.outs.iter_mut().zip(&batch.ranges) {
+            if e > s {
+                decode_into::<u32>(batch.staged.slice(s * 4, (e - s) as usize * 4), out);
             }
-            if !reqs.is_empty() {
-                self.values.store().read_batch_at(&mut reqs)?;
-            }
-        }
-        let mut pos = 0usize;
-        for (i, &(s, e)) in batch.ranges.iter().enumerate() {
-            let len = (e - s) as usize * 4;
-            decode_into::<u32>(&batch.bytes[pos..pos + len], &mut batch.outs[i]);
-            pos += len;
         }
         Ok(())
     }
@@ -310,14 +294,104 @@ pub struct NeighborBatch {
     pub outs: Vec<Vec<u32>>,
     /// Resolved `[start, end)` value ranges.
     ranges: Vec<(u64, u64)>,
-    /// Raw byte staging area.
-    bytes: Vec<u8>,
+    /// The pages read by the current pass.
+    staged: PageRuns,
 }
 
 impl NeighborBatch {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The page footprint of a set of byte spans, read from a store as runs of
+/// contiguous pages and staged back to back in one buffer.
+#[derive(Debug, Default)]
+struct PageRuns {
+    /// Scratch: each non-empty span's `[first, last + 1)` page range.
+    pages: Vec<(u64, u64)>,
+    /// `(store offset, buffer position)` of each run, ascending.
+    runs: Vec<(u64, usize)>,
+    /// The runs' bytes, in store order.
+    bytes: Vec<u8>,
+}
+
+impl PageRuns {
+    /// Read every page that a non-empty span `[start, end)` of `spans`
+    /// touches, each page once, in one [`ReadAt::read_batch_at`] call (none
+    /// when every span is empty). Runs of contiguous pages are cut at the
+    /// reader's merge limit (whole pages, at least one), and the last
+    /// page is clipped at the end of the store.
+    fn read<R: ReadAt>(
+        &mut self,
+        store: &R,
+        spans: impl Iterator<Item = (u64, u64)>,
+        reader: &ChunkedReader,
+    ) -> Result<()> {
+        use crate::backend::BatchRead;
+
+        let page = reader.app_chunk() as u64;
+        let run_pages = (reader.merge_limit() as u64 / page).max(1);
+        let size = store.len();
+        self.pages.clear();
+        for (start, end) in spans.filter(|&(s, e)| e > s) {
+            if end > size {
+                return Err(Error::OutOfBounds {
+                    offset: start,
+                    len: end - start,
+                    size,
+                });
+            }
+            self.pages.push((start / page, end.div_ceil(page)));
+        }
+        self.pages.sort_unstable();
+
+        self.runs.clear();
+        let mut total = 0usize;
+        let mut next = 0;
+        while next < self.pages.len() {
+            // One maximal group of overlapping or adjacent page ranges …
+            let (first, mut end) = self.pages[next];
+            next += 1;
+            while next < self.pages.len() && self.pages[next].0 <= end {
+                end = end.max(self.pages[next].1);
+                next += 1;
+            }
+            // … cut into runs of at most `run_pages` pages.
+            let mut p = first;
+            while p < end {
+                let q = p.saturating_add(run_pages).min(end);
+                let offset = p * page;
+                self.runs.push((offset, total));
+                total += ((q * page).min(size) - offset) as usize;
+                p = q;
+            }
+        }
+
+        self.bytes.clear();
+        self.bytes.resize(total, 0);
+        if self.runs.is_empty() {
+            return Ok(());
+        }
+        let mut reqs = Vec::with_capacity(self.runs.len());
+        let mut rest = self.bytes.as_mut_slice();
+        for (i, &(offset, pos)) in self.runs.iter().enumerate() {
+            let len = self.runs.get(i + 1).map_or(total, |r| r.1) - pos;
+            let (head, tail) = rest.split_at_mut(len);
+            reqs.push(BatchRead { offset, buf: head });
+            rest = tail;
+        }
+        store.read_batch_at(&mut reqs)
+    }
+
+    /// The staged bytes `[offset, offset + len)` of the store; the span
+    /// must lie inside one of the last [`read`](Self::read)'s spans.
+    fn slice(&self, offset: u64, len: usize) -> &[u8] {
+        let run = self.runs.partition_point(|&(o, _)| o <= offset) - 1;
+        let (run_offset, pos) = self.runs[run];
+        let start = pos + (offset - run_offset) as usize;
+        &self.bytes[start..start + len]
     }
 }
 
@@ -530,14 +604,173 @@ mod tests {
         dev.reset_stats(); // drop the construction-time validation read
         csr.read_neighbors_batch(&[0, 1, 3], &reader, &mut batch)
             .unwrap();
-        // 3 index pair reads + 3 nonempty value spans = 6 requests total.
-        assert_eq!(dev.snapshot().requests, 6);
+        // Both files fit in one page: one index-page run + one value-page
+        // run, each a physical 4 KiB transfer.
+        assert_eq!(dev.snapshot().requests, 2);
+        assert_eq!(dev.snapshot().bytes, 2 * 4096);
         assert_eq!(batch.outs[1], vec![0, 2, 3]);
+    }
+
+    /// An accounting ioDrive2 model.
+    fn accounting_device() -> std::sync::Arc<crate::device::Device> {
+        use crate::device::{DelayMode, Device, DeviceProfile};
+        Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting)
+    }
+
+    /// A CSR with `n` vertices of `degree` neighbors each (values
+    /// `0, 1, 2, …`) whose two files sit on `dev`.
+    fn regular_csr_on(
+        dev: &std::sync::Arc<crate::device::Device>,
+        n: u64,
+        degree: u64,
+    ) -> ExtCsr<crate::device::NvmStore<DramBackend>> {
+        use crate::device::NvmStore;
+        let index: Vec<u8> = (0..=n).flat_map(|v| (v * degree).to_le_bytes()).collect();
+        let values: Vec<u8> = (0..(n * degree) as u32)
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        ExtCsr::new(
+            NvmStore::new(DramBackend::new(index), dev.clone()),
+            NvmStore::new(DramBackend::new(values), dev.clone()),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn batch_reads_shared_pages_once_in_runs_cut_at_the_merge_limit() {
+        // 3000 lists of 3 values: 36 000 bytes, 9 pages (the last one
+        // 3232 bytes long). Reading every list touches all 9 pages once;
+        // 16 KiB runs cut them 4 + 4 + 1.
+        let dev = accounting_device();
+        let csr = regular_csr_on(&dev, 3000, 3).with_dram_index().unwrap();
+        dev.reset_stats();
+        let all: Vec<u64> = (0..3000).rev().collect();
+        let mut batch = NeighborBatch::new();
+        csr.read_neighbors_batch(&all, &ChunkedReader::new(16 * 1024), &mut batch)
+            .unwrap();
+        assert_eq!(dev.snapshot().requests, 3);
+        assert_eq!(dev.snapshot().bytes, 16384 + 16384 + 4096);
+        for (&v, out) in all.iter().zip(&batch.outs) {
+            let x = 3 * v as u32;
+            assert_eq!(out, &[x, x + 1, x + 2], "vertex {v}");
+        }
+
+        // Unmerged: one request per page.
+        dev.reset_stats();
+        csr.read_neighbors_batch(&all, &ChunkedReader::unmerged(), &mut batch)
+            .unwrap();
+        assert_eq!(dev.snapshot().requests, 9);
+        assert_eq!(dev.snapshot().bytes, 9 * 4096);
+    }
+
+    #[test]
+    fn batch_splits_runs_at_page_gaps() {
+        // Vertex 0's list is on page 0, vertex 2000's (byte 24 000) on
+        // page 5, vertex 1365's straddles pages 3 and 4 (bytes 16 380..).
+        let dev = accounting_device();
+        let csr = regular_csr_on(&dev, 3000, 3).with_dram_index().unwrap();
+        dev.reset_stats();
+        let mut batch = NeighborBatch::new();
+        let reader = ChunkedReader::new(usize::MAX);
+        csr.read_neighbors_batch(&[2000, 0, 1365], &reader, &mut batch)
+            .unwrap();
+        // Runs: page 0, pages 3–5.
+        assert_eq!(dev.snapshot().requests, 2);
+        assert_eq!(dev.snapshot().bytes, 4096 + 3 * 4096);
+        assert_eq!(batch.outs[2], vec![4095, 4096, 4097]);
+    }
+
+    #[test]
+    fn batch_handles_any_order_duplicates_and_empty_lists() {
+        let csr = dram_csr();
+        let reader = ChunkedReader::unmerged();
+        let mut batch = NeighborBatch::new();
+        csr.read_neighbors_batch(&[3, 2, 1, 3, 0, 2, 1], &reader, &mut batch)
+            .unwrap();
+        let want: [&[u32]; 7] = [&[1], &[], &[0, 2, 3], &[1], &[1, 2], &[], &[0, 2, 3]];
+        assert_eq!(batch.outs, want);
+        // Only empty lists: nothing to read, every output cleared.
+        csr.read_neighbors_batch(&[2, 2], &reader, &mut batch)
+            .unwrap();
+        assert_eq!(batch.outs, vec![Vec::<u32>::new(); 2]);
+    }
+
+    #[test]
+    fn batch_rejects_a_corrupt_index_range() {
+        // A corrupt middle index entry points past the 2 stored values,
+        // which also makes vertex 1's range reversed.
+        let ib: Vec<u8> = [0u64, 10, 2].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let csr = ExtCsr::new(DramBackend::new(ib), DramBackend::new(vec![0u8; 8])).unwrap();
+        let reader = ChunkedReader::unmerged();
+        let mut batch = NeighborBatch::new();
+        let err = csr
+            .read_neighbors_batch(&[0], &reader, &mut batch)
+            .unwrap_err();
+        assert!(matches!(err, Error::OutOfBounds { .. }), "{err:?}");
+        let err = csr
+            .read_neighbors_batch(&[1], &reader, &mut batch)
+            .unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn batch_under_transient_eio_returns_identical_lists() {
+        use crate::device::{DelayMode, Device, DeviceProfile};
+        use crate::fault::FaultPlan;
+        let clean = regular_csr_on(&accounting_device(), 3000, 3);
+        let plan = FaultPlan::parse("seed=11,eio=0.3,retries=40").unwrap();
+        let dev = Device::with_fault_plan(DeviceProfile::iodrive2(), DelayMode::Accounting, plan);
+        let faulted = regular_csr_on(&dev, 3000, 3);
+        let vs: Vec<u64> = (0..3000).step_by(7).chain([5, 5, 2999]).collect();
+        for reader in [ChunkedReader::unmerged(), ChunkedReader::new(16 * 1024)] {
+            let (mut want, mut got) = (NeighborBatch::new(), NeighborBatch::new());
+            clean.read_neighbors_batch(&vs, &reader, &mut want).unwrap();
+            faulted
+                .read_neighbors_batch(&vs, &reader, &mut got)
+                .unwrap();
+            assert_eq!(got.outs, want.outs);
+        }
+        assert!(dev.faults().unwrap().snapshot().eio > 0, "no fault fired");
     }
 
     mod properties {
         use super::*;
+        use crate::device::{DelayMode, Device, DeviceProfile, NvmStore};
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// `(requests, physical bytes)` of reading the page footprint of
+        /// `spans` from a `size`-byte store: the touched 4 KiB pages, in
+        /// runs of contiguous pages of at most `limit` bytes (whole pages),
+        /// the last page clipped at the end of the store.
+        fn page_run_model(
+            spans: &[(u64, u64)],
+            size: u64,
+            limit: usize,
+            profile: &DeviceProfile,
+        ) -> (u64, u64) {
+            const PAGE: u64 = 4096;
+            let pages: BTreeSet<u64> = spans
+                .iter()
+                .filter(|&&(s, e)| e > s)
+                .flat_map(|&(s, e)| s / PAGE..e.div_ceil(PAGE))
+                .collect();
+            let run_pages = (limit as u64 / PAGE).max(1);
+            let mut runs: Vec<(u64, u64)> = Vec::new(); // (first, pages)
+            for p in pages {
+                match runs.last_mut() {
+                    Some((first, len)) if *first + *len == p && *len < run_pages => *len += 1,
+                    _ => runs.push((p, 1)),
+                }
+            }
+            let bytes = runs
+                .iter()
+                .map(|&(first, len)| {
+                    profile.physical_bytes(((first + len) * PAGE).min(size) - first * PAGE)
+                })
+                .sum();
+            (runs.len() as u64, bytes)
+        }
 
         proptest! {
             /// Build a random CSR from per-vertex adjacency lists, write it to
@@ -563,6 +796,73 @@ mod tests {
                 for (v, list) in adj.iter().enumerate() {
                     csr.read_neighbors(v as u64, &reader, &mut out, &mut scratch).unwrap();
                     prop_assert_eq!(&out, list);
+                }
+            }
+
+            /// A batch of random vertices (any order, duplicates, empty
+            /// lists) returns every list exactly as `read_neighbors` does,
+            /// and the device sees exactly the page-run model's requests and
+            /// physical bytes for both the index pass and the value pass.
+            #[test]
+            fn batch_reads_the_page_run_footprint(
+                lens in proptest::collection::vec((0..3u8, 0..1500usize), 1..60),
+                picks in proptest::collection::vec(0..1000usize, 0..80),
+                dram_index in 0..2u8,
+            ) {
+                let mut index = vec![0u64];
+                let mut values = Vec::new();
+                for (v, &(kind, len)) in lens.iter().enumerate() {
+                    let len = if kind == 0 { 0 } else { len };
+                    values.extend((0..len as u32).map(|i| (v as u32) << 16 | i));
+                    index.push(values.len() as u64);
+                }
+                let n = lens.len();
+                let vs: Vec<u64> = picks.iter().map(|&p| (p % n) as u64).collect();
+                let ib: Vec<u8> = index.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let vb: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let (index_size, value_size) = (ib.len() as u64, vb.len() as u64);
+                let profile = DeviceProfile::iodrive2();
+                let dev = Device::new(profile.clone(), DelayMode::Accounting);
+                let mut csr = ExtCsr::new(
+                    NvmStore::new(DramBackend::new(ib), dev.clone()),
+                    NvmStore::new(DramBackend::new(vb), dev.clone()),
+                )
+                .unwrap();
+                if dram_index == 1 {
+                    csr = csr.with_dram_index().unwrap();
+                }
+
+                let index_spans: Vec<(u64, u64)> = if dram_index == 1 {
+                    Vec::new()
+                } else {
+                    vs.iter().map(|&v| (8 * v, 8 * v + 16)).collect()
+                };
+                let value_spans: Vec<(u64, u64)> = vs
+                    .iter()
+                    .map(|&v| (4 * index[v as usize], 4 * index[v as usize + 1]))
+                    .collect();
+                for reader in [
+                    ChunkedReader::unmerged(),
+                    ChunkedReader::new(16 * 1024),
+                    ChunkedReader::new(usize::MAX),
+                ] {
+                    let limit = reader.merge_limit();
+                    let (ir, ibytes) = page_run_model(&index_spans, index_size, limit, &profile);
+                    let (vr, vbytes) = page_run_model(&value_spans, value_size, limit, &profile);
+
+                    dev.reset_stats();
+                    let mut batch = NeighborBatch::new();
+                    csr.read_neighbors_batch(&vs, &reader, &mut batch).unwrap();
+                    let snap = dev.snapshot();
+                    prop_assert_eq!(snap.requests, ir + vr);
+                    prop_assert_eq!(snap.bytes, ibytes + vbytes);
+
+                    prop_assert_eq!(batch.outs.len(), vs.len());
+                    let (mut out, mut scratch) = (Vec::new(), Vec::new());
+                    for (&v, got) in vs.iter().zip(&batch.outs) {
+                        csr.read_neighbors(v, &reader, &mut out, &mut scratch).unwrap();
+                        prop_assert_eq!(got, &out);
+                    }
                 }
             }
         }

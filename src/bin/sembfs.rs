@@ -42,18 +42,32 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Print `message` and exit with the usage-error code 2.
+fn bad_input(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
+/// `--name VALUE` parsed as `T`, or `default` when the flag is absent
+/// (exits on a value that does not parse).
+fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
+    match flags.get(name) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| bad_input(format!("bad --{name} value: {v:?}"))),
+    }
+}
+
+/// `--scenario dram|flash|ssd` (default dram; exits on any other name).
 fn scenario_of(flags: &HashMap<String, String>) -> Scenario {
     match flags.get("scenario").map(String::as_str) {
+        None | Some("dram") => Scenario::DramOnly,
         Some("flash") => Scenario::DramPcieFlash,
         Some("ssd") => Scenario::DramSsd,
-        _ => Scenario::DramOnly,
+        Some(other) => bad_input(format!(
+            "unknown --scenario {other:?} (expected dram, flash or ssd)"
+        )),
     }
 }
 
@@ -62,10 +76,7 @@ fn fault_plan_of(flags: &HashMap<String, String>) -> Option<sembfs::semext::Faul
     let spec = flags.get("faults").filter(|s| !s.is_empty())?;
     match sembfs::semext::FaultPlan::parse(spec) {
         Ok(plan) => Some(plan),
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => bad_input(format!("bad --faults spec: {e}")),
     }
 }
 
@@ -141,16 +152,12 @@ fn main() {
             // the same seed diff clean — the CI determinism gate.
             let checksum = flags.contains_key("checksum");
             let edges = params.generate();
-            let backward_offload_k = flags.get("backward-k").map(|k| {
-                if scenario == Scenario::DramOnly {
-                    eprintln!("--backward-k needs an NVM scenario (flash or ssd)");
-                    std::process::exit(2);
-                }
-                k.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --backward-k value: {k:?}");
-                    std::process::exit(2);
-                })
-            });
+            if scenario == Scenario::DramOnly && flags.contains_key("backward-k") {
+                bad_input("--backward-k needs an NVM scenario (flash or ssd)".into());
+            }
+            let backward_offload_k = flags
+                .contains_key("backward-k")
+                .then(|| flag(&flags, "backward-k", 0));
             let opts = ScenarioOptions {
                 delay_mode: sembfs::semext::DelayMode::Throttled,
                 fault_plan: fault_plan_of(&flags),
@@ -165,8 +172,8 @@ fn main() {
             let roots = select_roots(params.num_vertices(), num_roots, seed, |v| data.degree(v));
             let policy = scenario.best_policy();
             let mut cfg = BfsConfig::paper();
-            if let Some(t) = flags.get("threads").and_then(|v| v.parse().ok()) {
-                cfg = cfg.with_threads(t);
+            if flags.contains_key("threads") {
+                cfg = cfg.with_threads(flag(&flags, "threads", 0));
             }
             println!(
                 "{} | {} | {num_roots} roots | {} threads",
@@ -174,24 +181,30 @@ fn main() {
                 policy.label(),
                 cfg.workers()
             );
-            let mut digests: Vec<(VertexId, u64, u64, u64)> = Vec::new();
+            let mut digests: Vec<(VertexId, u64, u64, u64, u64, u64)> = Vec::new();
             let summary = run_rounds(&roots, &edges, |root| {
                 let run = data.run(root, &policy, &cfg).expect("bfs");
                 if checksum {
+                    // Device requests and bytes are exact counters (no page
+                    // cache is attached here), so the read plan diffs too.
+                    let io = run.levels.iter().filter_map(|l| l.io);
                     digests.push((
                         root,
                         parent_checksum(&run.parent),
                         run.visited,
                         run.scanned_edges(),
+                        io.clone().map(|io| io.requests).sum(),
+                        io.map(|io| io.bytes).sum(),
                     ));
                 }
                 (run.parent, run.teps_edges, run.elapsed)
             })
             .expect("all rounds validate");
             if checksum {
-                for (root, digest, visited, scanned) in &digests {
+                for (root, digest, visited, scanned, requests, bytes) in &digests {
                     println!(
-                        "root {root}: parent-tree {digest:016x} | visited {visited} | scanned {scanned}"
+                        "root {root}: parent-tree {digest:016x} | visited {visited} | scanned {scanned} \
+                         | device {requests} requests {bytes} bytes"
                     );
                 }
             } else {
@@ -452,7 +465,7 @@ fn usage() {
          \x20           [--backward-k K] [--trace-out TRACE.jsonl] [--faults SPEC] [--checksum]\n\
          \x20           run the benchmark (--threads T: kernel workers, default one per core;\n\
          \x20            --backward-k K: keep K backward edges per vertex in DRAM, the rest\n\
-         \x20            on the device; --checksum prints only run-invariant digests)\n\
+         \x20            on the device; --checksum prints only run-invariant digests and counts)\n\
          \x20 report    TRACE.jsonl [--chrome OUT.json]      per-level table from a trace\n\
          \x20 sweep     --scale N [--scenario dram|flash|ssd] [--roots R]  α/β sweep\n\
          \x20 query     --scale N [--scenario dram|flash|ssd] [--src A --dst B | --pairs P]\n\

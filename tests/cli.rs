@@ -65,6 +65,18 @@ fn bfs_checksums_agree_across_thread_counts_on_the_split_layout() {
             .map(String::from)
             .collect();
         assert_eq!(roots.len(), 2, "{text}");
+        // Each line carries the run's device read plan, which a split
+        // layout always exercises.
+        for line in &roots {
+            let requests: u64 = line
+                .split("| device ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no device request count in {line:?}"));
+            assert!(requests > 0, "{line}");
+            assert!(line.ends_with(" bytes"), "{line}");
+        }
         roots
     };
     assert_eq!(run("1"), run("4"));
@@ -84,6 +96,25 @@ fn bfs_checksums_agree_across_thread_counts_on_the_split_layout() {
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
+}
+
+#[test]
+fn unparsable_values_and_unknown_scenarios_exit_with_code_2() {
+    let cases: [&[&str]; 6] = [
+        &["info", "--scale", "abc"],
+        &["bfs", "--scale", "abc", "--roots", "1"],
+        &["bfs", "--scale", "8", "--roots", "many"],
+        &["bfs", "--scale", "8", "--scenario", "flsh"],
+        &["bfs", "--scale", "8", "--threads", "-1"],
+        &["query", "--scale", "8", "--scenario", "flsh"],
+    ];
+    for args in cases {
+        let out = sembfs().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("--"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
 

@@ -12,11 +12,14 @@
 //! first frontier neighbor on sorted backward lists, so every level's
 //! DRAM and NVM scanned-edge counts equal those of a serial first-hit
 //! scan of the reference frontiers, at every thread count. On the split
-//! layouts each level's device requests and bytes also equal those of a
-//! serial probe-by-probe scan: the bottom-up kernel submits a work unit's
-//! tail reads as one batch, which changes when the reads wait, not which
-//! reads happen.
+//! layouts each level's device requests and bytes also equal a model of
+//! the read plan: top-down reads each frontier vertex's spans on their
+//! own, and bottom-up reads, per work unit, the page footprint of the
+//! head-missed vertices' tails as merged page runs. The plan depends on
+//! the work units, not on which worker probes them, so it is the same at
+//! every thread count.
 
+use sembfs::core::parallel::BOTTOM_UP_CHUNK;
 use sembfs::prelude::*;
 use sembfs::semext::{ChunkedReader, DeviceProfile, FaultPlan};
 use sembfs_csr::{build_csr, BuildOptions};
@@ -210,15 +213,46 @@ fn serial_first_hit_counts(
         .collect()
 }
 
-/// Per-level `(requests, bytes)` a serial probe-by-probe scan of the
-/// reference frontiers issues on the split layout's device. Top-down
-/// levels read, per frontier vertex and domain, the forward index pair
-/// and the domain's neighbor span; bottom-up levels read the whole tail
-/// (`list[k..]`) of every unvisited vertex whose DRAM head (`list[..k]`)
-/// holds no frontier neighbor. Each span is split into requests of at
-/// most the reader's merge limit, and bytes are physical (whole device
-/// transfer units).
-fn serial_first_hit_io(
+/// `(requests, physical bytes)` of reading the page footprint of `spans`
+/// from a `size`-byte store: every page a non-empty span touches, once, in
+/// runs of contiguous pages no longer than the reader's merge limit, the
+/// last page clipped at the end of the store.
+fn page_runs(
+    spans: impl Iterator<Item = (u64, u64)>,
+    size: u64,
+    reader: &ChunkedReader,
+    device: &DeviceProfile,
+) -> (u64, u64) {
+    let page = reader.app_chunk() as u64;
+    let run_pages = (reader.merge_limit() as u64 / page).max(1);
+    let pages: std::collections::BTreeSet<u64> = spans
+        .filter(|&(s, e)| e > s)
+        .flat_map(|(s, e)| s / page..e.div_ceil(page))
+        .collect();
+    let mut runs: Vec<(u64, u64)> = Vec::new(); // (first page, pages)
+    for p in pages {
+        match runs.last_mut() {
+            Some((first, len)) if *first + *len == p && *len < run_pages => *len += 1,
+            _ => runs.push((p, 1)),
+        }
+    }
+    let bytes = runs
+        .iter()
+        .map(|&(first, len)| device.physical_bytes(((first + len) * page).min(size) - first * page))
+        .sum();
+    (runs.len() as u64, bytes)
+}
+
+/// Per-level `(requests, bytes)` the split layout's device must see.
+/// Top-down levels read, per frontier vertex and domain, the forward index
+/// pair and the domain's neighbor span, each span split into requests of
+/// at most the reader's merge limit. Bottom-up levels read, per work unit
+/// (one `BOTTOM_UP_CHUNK` range of one domain, as `par_bottom_up_step`
+/// cuts them), the page runs over the tails (`list[k..]`, laid out in
+/// vertex order in the tail value file) of every unvisited vertex whose
+/// DRAM head (`list[..k]`) holds no frontier neighbor. Bytes are physical
+/// (whole device transfer units).
+fn first_hit_io(
     sorted_adj: &[Vec<VertexId>],
     levels: &[u32],
     steps: &[(u32, Direction)],
@@ -239,6 +273,25 @@ fn serial_first_hit_io(
         }
         (requests, physical)
     };
+    // Byte span of each vertex's tail in the tail value file.
+    let cut = |list: &[VertexId]| (backward_k as usize).min(list.len());
+    let mut tail_spans = Vec::with_capacity(sorted_adj.len());
+    let mut end = 0u64;
+    for list in sorted_adj {
+        let start = end;
+        end += 4 * (list.len() - cut(list)) as u64;
+        tail_spans.push((start, end));
+    }
+    let tail_size = end;
+    let units: Vec<std::ops::Range<u64>> = (0..part.num_domains())
+        .flat_map(|k| {
+            let range = part.range(k);
+            range
+                .clone()
+                .step_by(BOTTOM_UP_CHUNK as usize)
+                .map(move |s| s..(s + BOTTOM_UP_CHUNK).min(range.end))
+        })
+        .collect();
     steps
         .iter()
         .map(|&(level, direction)| {
@@ -248,9 +301,12 @@ fn serial_first_hit_io(
                 requests += r;
                 bytes += b;
             };
-            for (w, list) in sorted_adj.iter().enumerate() {
-                match direction {
-                    Direction::TopDown if in_frontier(w as VertexId) => {
+            match direction {
+                Direction::TopDown => {
+                    for (w, list) in sorted_adj.iter().enumerate() {
+                        if !in_frontier(w as VertexId) {
+                            continue;
+                        }
                         for k in 0..part.num_domains() {
                             let in_k = list
                                 .iter()
@@ -260,16 +316,21 @@ fn serial_first_hit_io(
                             add(span(4 * in_k));
                         }
                     }
-                    Direction::BottomUp => {
-                        if levels[w] != INVALID_LEVEL && levels[w] < level {
-                            continue; // visited before this step
-                        }
-                        let cut = (backward_k as usize).min(list.len());
-                        if !list[..cut].iter().any(|&v| in_frontier(v)) {
-                            add(span(4 * (list.len() - cut) as u64));
-                        }
+                }
+                Direction::BottomUp => {
+                    for unit in &units {
+                        let missed = unit.clone().map(|w| w as usize).filter(|&w| {
+                            let visited = levels[w] != INVALID_LEVEL && levels[w] < level;
+                            let head = &sorted_adj[w][..cut(&sorted_adj[w])];
+                            !visited && !head.iter().any(|&v| in_frontier(v))
+                        });
+                        add(page_runs(
+                            missed.map(|w| tail_spans[w]),
+                            tail_size,
+                            &reader,
+                            device,
+                        ));
                     }
-                    Direction::TopDown => {}
                 }
             }
             (requests, bytes)
@@ -345,14 +406,8 @@ fn scanned_edges_equal_a_serial_first_hit_scan() {
                         .iter()
                         .map(|l| l.io.map(|io| (io.requests, io.bytes)).unwrap())
                         .collect();
-                    let want_io = serial_first_hit_io(
-                        &sorted_adj,
-                        &levels,
-                        &steps,
-                        k,
-                        data.partition(),
-                        device,
-                    );
+                    let want_io =
+                        first_hit_io(&sorted_adj, &levels, &steps, k, data.partition(), device);
                     assert_eq!(
                         got_io,
                         want_io,
