@@ -10,8 +10,14 @@
 //! The paper only *estimates* this (its bottom-up always runs from DRAM);
 //! here the split layout actually executes, so the access ratio comes
 //! from real probe counts.
+//!
+//! Both footprint columns are shares of the full raw backward CSR. The
+//! DRAM share counts the head and the tail's two pinned indexes; the NVM
+//! share is the tail as stored, gap-encoded, so the two no longer sum to
+//! 100 %.
 
 use sembfs_bench::{measure, BenchEnv, Table};
+use sembfs_core::scenario::BackwardStore;
 use sembfs_core::{Direction, Scenario, ScenarioOptions};
 
 fn main() {
@@ -26,7 +32,7 @@ fn main() {
     let mut table = Table::new(&[
         "k (DRAM edges/vertex)",
         "BG in DRAM %",
-        "BG offloaded %",
+        "BG on NVM %",
         "BU accesses on NVM %",
         "median MTEPS",
     ]);
@@ -46,6 +52,10 @@ fn main() {
 
         let full_bg = data.csr().byte_size() as f64;
         let dram_share = 100.0 * data.backward_dram_bytes() as f64 / full_bg;
+        let BackwardStore::Split(split) = data.backward() else {
+            unreachable!("backward_offload_k splits the backward graph")
+        };
+        let nvm_share = 100.0 * split.nvm_byte_size() as f64 / full_bg;
 
         let (mut dram_probes, mut nvm_probes) = (0u64, 0u64);
         for run in &runs {
@@ -60,7 +70,7 @@ fn main() {
         table.row(&[
             k.to_string(),
             format!("{dram_share:.1}"),
-            format!("{:.1}", 100.0 - dram_share),
+            format!("{nvm_share:.1}"),
             format!("{access_ratio:.2}"),
             format!("{:.2}", median / 1e6),
         ]);

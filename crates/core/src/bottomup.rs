@@ -21,17 +21,22 @@
 //!   probes spill to external memory for Fig. 14). The head holds the
 //!   smallest neighbors, so a tail is read only when none of them is in
 //!   the frontier. The unit is probed in three passes: scan every head;
-//!   fetch the tails of all head-missed vertices as one asynchronous
-//!   device batch ([`ExtCsr::read_neighbors_batch`], the `libaio`
-//!   aggregation of §VI-D); scan each tail to its first hit. Tails sit
-//!   in vertex order in the tail file, so a unit's tails share pages:
-//!   the batch reads their page footprint, each page once, as runs of
-//!   contiguous pages up to the device's merge limit. The unit pays the
-//!   device access latency once instead of once per spilled probe and
-//!   moves each tail page once instead of once per tail on it; every
-//!   scanned-edge count is exactly that of a serial probe-by-probe scan.
+//!   stage the encoded tails of the head-missed vertices that have one as
+//!   one asynchronous device batch ([`GapCsr::stage`], the `libaio`
+//!   aggregation of §VI-D); decode each staged tail in place up to its
+//!   first hit. Tails sit in vertex order in the tail file, so a unit's
+//!   tails share pages: the batch reads their page footprint, each page
+//!   once, as runs of contiguous pages up to the device's merge limit.
+//!   The unit pays the device access latency once instead of once per
+//!   spilled probe, moves each tail page once instead of once per tail on
+//!   it, and issues no read when no head-missed vertex has a tail. The
+//!   tails are stored as varint gaps (a deviation from the paper's raw
+//!   CSR, see [`GapCsr`]), and decoding stops at the hit, so a tail is
+//!   never materialized as a list. Every scanned-edge count is exactly
+//!   that of a serial probe-by-probe scan of the raw lists.
 //!
-//! [`ExtCsr::read_neighbors_batch`]: sembfs_semext::ExtCsr::read_neighbors_batch
+//! [`GapCsr::stage`]: sembfs_semext::GapCsr::stage
+//! [`GapCsr`]: sembfs_semext::GapCsr
 
 use std::ops::Range;
 
@@ -140,7 +145,8 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
     ) -> Result<BottomUpOutput> {
         let mut out = BottomUpOutput::default();
         // Pass 1: the hot DRAM heads — usually the probe ends here
-        // (§VI-E's premise).
+        // (§VI-E's premise). A missed vertex without a tail has no parent
+        // this level.
         let mut missed = Vec::new();
         for w in unit.map(|w| w as VertexId) {
             if visited(w) {
@@ -153,15 +159,15 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
                     found(w, p);
                     out.discovered += 1;
                 }
-                None => missed.push(w as u64),
+                None if self.tail_degree(w) > 0 => missed.push(w as u64),
+                None => {}
             }
         }
-        // Pass 2: every missed vertex's cold tail in one device batch (an
-        // empty tail adds no request); pass 3: scan each to its first hit.
-        self.tail()
-            .read_neighbors_batch(&missed, &ctx.reader, &mut ctx.batch)?;
-        for (&w, tail) in missed.iter().zip(&ctx.batch.outs) {
-            let (parent, scanned) = first_hit(tail, &in_frontier);
+        // Pass 2: the missed vertices' encoded tails in one device batch;
+        // pass 3: decode each in place up to its first hit.
+        let staged = self.tail().stage(&missed, &ctx.reader, &mut ctx.batch)?;
+        for (i, &w) in missed.iter().enumerate() {
+            let (parent, scanned) = staged.scan(i, &in_frontier)?;
             out.nvm_edges += scanned;
             if let Some(p) = parent {
                 found(w as VertexId, p);
@@ -172,7 +178,7 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
     }
 
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
-        Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w)?)
+        Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w))
     }
 }
 
@@ -185,7 +191,7 @@ mod tests {
     use sembfs_csr::backward::split_csr;
     use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
-    use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
+    use sembfs_semext::ext_csr::{encode_gaps, GapCsr};
     use sembfs_semext::{
         BatchRead, DelayMode, Device, DeviceProfile, Error, FaultPlan, FileBackend, NvmStore,
         PageIntegrity, TempDir,
@@ -306,7 +312,7 @@ mod tests {
         split_source_with(csr, k, domains, dir, |p| FileBackend::open(p).unwrap())
     }
 
-    /// A split layout whose tail files are opened by `open`.
+    /// A split layout whose gap-encoded tail file is opened by `open`.
     fn split_source_with<R: ReadAt>(
         csr: &CsrGraph,
         k: u64,
@@ -315,13 +321,10 @@ mod tests {
         open: impl Fn(&Path) -> R,
     ) -> SplitBackwardGraph<R> {
         let (head, ti, tv) = split_csr(csr, k);
-        let ip = dir.path().join("tail.index");
+        let (bi, bytes) = encode_gaps(&ti, &tv);
         let vp = dir.path().join("tail.values");
-        write_csr_files(&ip, &vp, &ti, &tv).unwrap();
-        let tail = ExtCsr::new(open(&ip), open(&vp))
-            .unwrap()
-            .with_dram_index()
-            .unwrap();
+        std::fs::write(&vp, bytes).unwrap();
+        let tail = GapCsr::new(ti, bi, open(&vp)).unwrap();
         SplitBackwardGraph::new(
             head,
             tail,
@@ -497,8 +500,6 @@ mod tests {
             batch_calls: batch_calls.clone(),
         });
         for threads in [1, 2, 4] {
-            // Pinning the index read it once at construction; count only
-            // the step's calls.
             read_at_calls.store(0, Ordering::Relaxed);
             batch_calls.store(0, Ordering::Relaxed);
             let parent = new_parent_array(n as u64, n - 1);
@@ -528,6 +529,43 @@ mod tests {
                 "{threads} threads: {batches} batch submissions for {units} units"
             );
         }
+    }
+
+    #[test]
+    fn unit_whose_missed_vertices_have_no_tail_issues_no_read() {
+        // With k = 2, vertex 0 ([1, hub]) and vertex n - 2 ([n - 3, hub])
+        // keep their whole list in DRAM; every other path vertex has the
+        // tail [hub]. An empty frontier makes every probe miss its head.
+        let n = 100u32;
+        let dir = TempDir::new("bu-empty-tails").unwrap();
+        let read_at_calls = Arc::new(AtomicU64::new(0));
+        let batch_calls = Arc::new(AtomicU64::new(0));
+        let sbg = split_source_with(&path_plus_hub(n), 2, 1, &dir, |p| CountingStore {
+            inner: FileBackend::open(p).unwrap(),
+            read_at_calls: read_at_calls.clone(),
+            batch_calls: batch_calls.clone(),
+        });
+        let probe_unit = |unit: Range<u64>| {
+            sbg.probe_unit(
+                unit,
+                &mut NeighborCtx::dram(),
+                |_| false,
+                |_| false,
+                |_, _| panic!("nothing is in the frontier"),
+            )
+            .unwrap()
+        };
+        for unit in [0..1, (n - 2) as u64..(n - 1) as u64] {
+            let out = probe_unit(unit.clone());
+            assert_eq!((out.dram_edges, out.nvm_edges), (2, 0), "unit {unit:?}");
+            assert_eq!(batch_calls.load(Ordering::Relaxed), 0, "unit {unit:?}");
+            assert_eq!(read_at_calls.load(Ordering::Relaxed), 0, "unit {unit:?}");
+        }
+        // A unit with a tail does read it, in one batch.
+        let out = probe_unit(0..3);
+        assert_eq!((out.dram_edges, out.nvm_edges), (6, 2));
+        assert_eq!(batch_calls.load(Ordering::Relaxed), 1);
+        assert_eq!(read_at_calls.load(Ordering::Relaxed), 0);
     }
 
     /// The path-plus-hub split layout on an Accounting-mode device with

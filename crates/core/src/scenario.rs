@@ -21,7 +21,7 @@ use sembfs_csr::{
 };
 use sembfs_graph500::edge_list::EdgeList;
 use sembfs_numa::{RangePartition, Topology};
-use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
+use sembfs_semext::ext_csr::{encode_gaps, ExtCsr, GapCsr};
 use sembfs_semext::{
     ChunkedReader, DelayMode, Device, DeviceProfile, FaultPlan, FileBackend, MmapBackend, NvmStore,
     PageIntegrity, Result, ShardedCachedStore, ShardedPageCache, TempDir,
@@ -407,22 +407,20 @@ impl ScenarioData {
             (Some(k), Some(dev)) => {
                 let dir = dir.as_ref().expect("device implies directory");
                 let (head, tail_index, tail_values) = split_csr(&csr, k);
-                let ip = dir.join("bg-tail.index");
+                // The sorted tails are stored as varint gaps (DESIGN §7);
+                // both tail indexes stay pinned in DRAM: §VI-E's estimate
+                // concerns edge traffic, and an index on the device would
+                // double every probe's request count.
+                let (byte_index, bytes) = encode_gaps(&tail_index, &tail_values);
+                drop(tail_values);
                 let vp = dir.join("bg-tail.values");
-                write_csr_files(&ip, &vp, &tail_index, &tail_values)?;
-                let mut tail_is = NvmStore::new(FileBackend::open(&ip)?, dev.clone());
-                let mut tail_vs = NvmStore::new(FileBackend::open(&vp)?, dev.clone());
-                if let Some(sums) = seal(&ip)? {
-                    tail_is = tail_is.with_integrity(sums);
-                }
+                std::fs::write(&vp, &bytes)?;
+                drop(bytes);
+                let mut store = NvmStore::new(FileBackend::open(&vp)?, dev.clone());
                 if let Some(sums) = seal(&vp)? {
-                    tail_vs = tail_vs.with_integrity(sums);
+                    store = store.with_integrity(sums);
                 }
-                let tail = ExtCsr::new(tail_is, tail_vs)?
-                    // The tail index is pinned: §VI-E's estimate concerns edge
-                    // (value) traffic, and an unpinned index would double every
-                    // probe's request count.
-                    .with_dram_index()?;
+                let tail = GapCsr::new(tail_index, byte_index, store)?;
                 BackwardStore::Split(SplitBackwardGraph::new(head, tail, partition.clone(), k))
             }
             (Some(_), None) => {
@@ -558,7 +556,7 @@ impl ScenarioData {
                 for &w in g.head_neighbors(v) {
                     f(w);
                 }
-                if g.tail_degree(v)? > 0 {
+                if g.tail_degree(v) > 0 {
                     g.with_tail_neighbors(v, ctx, |ns| {
                         for &w in ns {
                             f(w);

@@ -12,7 +12,16 @@
 //! stay in DRAM (the hot head — bottom-up usually terminates within a few
 //! probes), while the tail is offloaded to external memory and streamed
 //! only when the head is exhausted. The bottom-up kernel fetches the
-//! tails of a whole work unit at once, as one batch on the [`ExtCsr`].
+//! tails of a whole work unit at once, as one batch on the [`GapCsr`].
+//!
+//! The tail is stored gap-encoded ([`GapCsr`], LEB128 varint gaps of
+//! the sorted lists), not as the paper's raw `u32` CSR: most gaps of a
+//! sorted list fit one byte, so the device moves fewer bytes per tail
+//! edge, and the probe decodes each staged tail in place up to its first
+//! hit. Both tail indexes (edge offsets and byte
+//! offsets) are pinned in DRAM, so tail degrees cost no device request;
+//! [`SplitBackwardGraph::dram_byte_size`] counts them, and
+//! [`SplitBackwardGraph::nvm_byte_size`] only the encoded bytes.
 //!
 //! Both forms guarantee **ascending neighbor lists**, whatever order the
 //! input CSR has: [`BackwardGraph::new`] and [`split_csr`] sort any list
@@ -24,7 +33,7 @@
 use std::ops::Range;
 
 use sembfs_numa::RangePartition;
-use sembfs_semext::ext_csr::ExtCsr;
+use sembfs_semext::ext_csr::GapCsr;
 use sembfs_semext::{ReadAt, Result};
 
 use crate::graph::CsrGraph;
@@ -122,21 +131,22 @@ pub fn split_csr(csr: &CsrGraph, k_limit: u64) -> (CsrGraph, Vec<u64>, Vec<Verte
     )
 }
 
-/// Backward graph with its cold tail offloaded: DRAM head + external tail.
+/// Backward graph with its cold tail offloaded: DRAM head + external,
+/// gap-encoded tail.
 #[derive(Debug)]
 pub struct SplitBackwardGraph<R> {
     head: CsrGraph,
-    tail: ExtCsr<R>,
+    tail: GapCsr<R>,
     partition: RangePartition,
     k_limit: u64,
 }
 
 impl<R: ReadAt> SplitBackwardGraph<R> {
-    /// Assemble from a DRAM head and an external tail CSR.
+    /// Assemble from a DRAM head and a gap-encoded external tail.
     ///
     /// # Panics
     /// Panics when shapes disagree.
-    pub fn new(head: CsrGraph, tail: ExtCsr<R>, partition: RangePartition, k_limit: u64) -> Self {
+    pub fn new(head: CsrGraph, tail: GapCsr<R>, partition: RangePartition, k_limit: u64) -> Self {
         assert_eq!(head.num_vertices(), partition.num_vertices());
         assert_eq!(tail.num_vertices(), head.num_vertices());
         Self {
@@ -173,15 +183,15 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         self.head.neighbors(v)
     }
 
-    /// Number of tail (offloaded) neighbors of `v`, read from the tail's
-    /// index. This issues a storage request unless the index is pinned in
-    /// DRAM ([`ExtCsr::with_dram_index`]), as the scenario layouts do.
-    pub fn tail_degree(&self, v: VertexId) -> Result<u64> {
+    /// Number of tail (offloaded) neighbors of `v`, from the tail's DRAM
+    /// index (no storage request).
+    pub fn tail_degree(&self, v: VertexId) -> u64 {
         self.tail.degree(v as u64)
     }
 
-    /// Stream the offloaded tail neighbors of `v` into `ctx.buf` and hand
-    /// them to `f`. Issues storage requests on the tail's device.
+    /// Read and decode the offloaded tail neighbors of `v` into `ctx.buf`
+    /// and hand them to `f`. Issues storage requests on the tail's device
+    /// unless the tail is empty.
     pub fn with_tail_neighbors<T>(
         &self,
         v: VertexId,
@@ -198,14 +208,14 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         Ok(f(buf))
     }
 
-    /// DRAM footprint (head only).
+    /// DRAM footprint: the head and the tail's two pinned indexes.
     pub fn dram_byte_size(&self) -> u64 {
-        self.head.byte_size()
+        self.head.byte_size() + self.tail.dram_byte_size()
     }
 
-    /// External footprint (tail index + values).
+    /// External footprint: the tail's encoded lists.
     pub fn nvm_byte_size(&self) -> u64 {
-        self.tail.byte_size()
+        self.tail.nvm_byte_size()
     }
 
     /// The head CSR.
@@ -213,8 +223,8 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         &self.head
     }
 
-    /// The tail external CSR.
-    pub fn tail(&self) -> &ExtCsr<R> {
+    /// The gap-encoded external tail.
+    pub fn tail(&self) -> &GapCsr<R> {
         &self.tail
     }
 }
@@ -224,7 +234,7 @@ mod tests {
     use super::*;
     use crate::builder::{build_csr, BuildOptions};
     use sembfs_graph500::edge_list::MemEdgeList;
-    use sembfs_semext::ext_csr::write_csr_files;
+    use sembfs_semext::ext_csr::encode_gaps;
     use sembfs_semext::{FileBackend, TempDir};
 
     fn star_plus_path() -> CsrGraph {
@@ -312,34 +322,51 @@ mod tests {
         assert!(tail_values.is_empty());
     }
 
+    /// The star-plus-path split at limit 2 with its tail gap-encoded in a
+    /// file under `dir`; also returns the encoded tail's length.
+    fn split_star(dir: &TempDir) -> (SplitBackwardGraph<FileBackend>, u64) {
+        let (head, tail_index, tail_values) = split_csr(&star_plus_path(), 2);
+        let (byte_index, bytes) = encode_gaps(&tail_index, &tail_values);
+        let vp = dir.path().join("bg-tail.values");
+        std::fs::write(&vp, &bytes).unwrap();
+        let tail = GapCsr::new(tail_index, byte_index, FileBackend::open(&vp).unwrap()).unwrap();
+        let sbg = SplitBackwardGraph::new(head, tail, RangePartition::new(10, 2), 2);
+        (sbg, bytes.len() as u64)
+    }
+
     #[test]
     fn split_backward_graph_reads_tail() {
-        let csr = star_plus_path();
-        let (head, tail_index, tail_values) = split_csr(&csr, 2);
         let dir = TempDir::new("split-bg").unwrap();
-        let ip = dir.path().join("bg-tail.index");
-        let vp = dir.path().join("bg-tail.values");
-        write_csr_files(&ip, &vp, &tail_index, &tail_values).unwrap();
-        let tail = ExtCsr::new(
-            FileBackend::open(&ip).unwrap(),
-            FileBackend::open(&vp).unwrap(),
-        )
-        .unwrap()
-        .with_dram_index()
-        .unwrap();
-
-        let sbg = SplitBackwardGraph::new(head, tail, RangePartition::new(10, 2), 2);
+        let (sbg, _) = split_star(&dir);
         assert_eq!(sbg.k_limit(), 2);
         assert_eq!(sbg.head_neighbors(0), &[1, 2]);
-        assert_eq!(sbg.tail_degree(0).unwrap(), 4);
+        assert_eq!(sbg.tail_degree(0), 4);
         let mut ctx = NeighborCtx::dram();
         let t = sbg
             .with_tail_neighbors(0, &mut ctx, |ns| ns.to_vec())
             .unwrap();
         assert_eq!(t, vec![3, 4, 5, 6]);
         // Path vertices have no tail at limit 2.
-        assert_eq!(sbg.tail_degree(8).unwrap(), 0);
-        assert!(sbg.dram_byte_size() < csr.byte_size());
+        assert_eq!(sbg.tail_degree(8), 0);
+        let t = sbg
+            .with_tail_neighbors(8, &mut ctx, |ns| ns.to_vec())
+            .unwrap();
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn footprint_counts_pinned_tail_indexes_as_dram() {
+        let dir = TempDir::new("split-bg-size").unwrap();
+        let (sbg, encoded) = split_star(&dir);
+        // Two pinned 8-byte offsets per vertex plus one, on top of the head.
+        assert_eq!(
+            sbg.dram_byte_size(),
+            sbg.head().byte_size() + 2 * 8 * (10 + 1)
+        );
+        // Only the encoded lists live on the device: vertex 0's tail
+        // [3, 4, 5, 6] is four one-byte varints.
+        assert_eq!(encoded, 4);
+        assert_eq!(sbg.nvm_byte_size(), encoded);
     }
 
     mod properties {

@@ -1,4 +1,5 @@
-//! CSR graphs on external storage — the offloaded forward graph.
+//! CSR graphs on external storage: the offloaded forward graph and the
+//! gap-encoded backward tail.
 //!
 //! §V-B1: the CSR index and value arrays are stored on NVM as two files
 //! (the paper's *array file* and *value file*); a neighbor lookup reads
@@ -12,6 +13,15 @@
 //! The index can optionally be pinned in DRAM
 //! ([`ExtCsr::with_dram_index`]) — an optimization knob the ablation
 //! benches explore; the paper's baseline reads the index from NVM too.
+//!
+//! [`GapCsr`] stores **ascending** lists compactly, a deliberate deviation
+//! from the paper's raw `u32` value file: each list is the LEB128 varints
+//! of its first entry and of the gaps between consecutive entries
+//! ([`encode_gaps`]), and both the edge-offset and the byte-offset index
+//! stay in DRAM. The offloaded backward tail (§VI-E) uses it: its lists
+//! are sorted, and the bottom-up probe reads them in order, so
+//! [`StagedGaps::scan`] decodes a staged list in place and stops at its
+//! first hit. The device meters exactly the encoded pages it reads.
 
 use std::path::Path;
 
@@ -109,7 +119,8 @@ impl<R: ReadAt> ExtCsr<R> {
     }
 
     /// Read vertex `v`'s neighbors into `out` (cleared first), fetching the
-    /// value span through `reader` and decoding via `scratch`.
+    /// value span through `reader` and decoding via `scratch`. A reversed
+    /// index range is [`Error::Corrupt`].
     pub fn read_neighbors(
         &self,
         v: u64,
@@ -119,33 +130,15 @@ impl<R: ReadAt> ExtCsr<R> {
     ) -> Result<()> {
         let (start, end) = self.neighbor_range(v)?;
         out.clear();
+        if start > end {
+            return Err(Error::Corrupt(format!(
+                "CSR index range [{start}, {end}) is reversed"
+            )));
+        }
         let bytes = (end - start) as usize * 4;
         if bytes == 0 {
             return Ok(());
         }
-        scratch.clear();
-        scratch.resize(bytes, 0);
-        reader.read_span(self.values.store(), start * 4, scratch)?;
-        decode_into::<u32>(scratch, out);
-        Ok(())
-    }
-
-    /// Read an arbitrary `[start, end)` window of the value array into
-    /// `out` (cleared first). Used by the backward-graph partial-offload
-    /// path, which streams only the cold tail of a vertex's neighbors.
-    pub fn read_value_window(
-        &self,
-        start: u64,
-        end: u64,
-        reader: &ChunkedReader,
-        out: &mut Vec<u32>,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        out.clear();
-        if end <= start {
-            return Ok(());
-        }
-        let bytes = (end - start) as usize * 4;
         scratch.clear();
         scratch.resize(bytes, 0);
         reader.read_span(self.values.store(), start * 4, scratch)?;
@@ -287,7 +280,8 @@ impl<R: ReadAt> ExtCsr<R> {
     }
 }
 
-/// Reusable scratch state for [`ExtCsr::read_neighbors_batch`].
+/// Reusable scratch state for [`ExtCsr::read_neighbors_batch`] and
+/// [`GapCsr::stage`].
 #[derive(Debug, Default)]
 pub struct NeighborBatch {
     /// Decoded neighbor lists, one per requested vertex.
@@ -395,6 +389,275 @@ impl PageRuns {
     }
 }
 
+/// Encode ascending adjacency lists as gaps. List `v` is
+/// `values[index[v]..index[v + 1]]`; it is stored as the LEB128 varint of
+/// its first entry followed by the varint of each entry's difference to
+/// the one before it (0 for a repeated entry). Returns the byte index
+/// (`index.len()` offsets into the encoding, the last one its length) and
+/// the encoded bytes.
+///
+/// # Panics
+/// Panics when `index` is empty or does not end at `values.len()`, or when
+/// a list is not ascending.
+pub fn encode_gaps(index: &[u64], values: &[u32]) -> (Vec<u64>, Vec<u8>) {
+    assert!(!index.is_empty(), "CSR index must have at least one entry");
+    assert_eq!(
+        *index.last().unwrap(),
+        values.len() as u64,
+        "CSR index final entry must equal value count"
+    );
+    let mut byte_index = Vec::with_capacity(index.len());
+    let mut bytes = Vec::with_capacity(values.len());
+    byte_index.push(0);
+    for w in index.windows(2) {
+        let mut prev = 0u32;
+        for &v in &values[w[0] as usize..w[1] as usize] {
+            assert!(v >= prev, "gap-encoded lists must be ascending");
+            let mut gap = v - prev;
+            while gap >= 0x80 {
+                bytes.push(gap as u8 | 0x80);
+                gap >>= 7;
+            }
+            bytes.push(gap as u8);
+            prev = v;
+        }
+        byte_index.push(bytes.len() as u64);
+    }
+    (byte_index, bytes)
+}
+
+/// Decode the `len` entries of one gap-encoded list ([`encode_gaps`])
+/// from `bytes` in order, stopping at the first entry for which `stop`
+/// returns true. Returns that entry, if any, and how many entries were
+/// decoded (`len` when none stopped the scan). A scan that reaches the end
+/// of the list checks that it used up `bytes` exactly.
+///
+/// Malformed input is [`Error::Corrupt`], never a panic: fewer than `len`
+/// entries in `bytes`, a varint longer than 5 bytes, an entry past
+/// `u32::MAX`, or bytes left after the last entry.
+pub fn scan_gaps(
+    bytes: &[u8],
+    len: u64,
+    mut stop: impl FnMut(u32) -> bool,
+) -> Result<(Option<u32>, u64)> {
+    let mut pos = 0;
+    let mut value = 0u64;
+    for i in 0..len {
+        // At most 5 varint bytes: the sum stays far below u64::MAX.
+        value += read_varint(bytes, &mut pos)?;
+        let Ok(v) = u32::try_from(value) else {
+            return Err(Error::Corrupt(format!(
+                "gap list entry {i} of {len} overflows u32"
+            )));
+        };
+        if stop(v) {
+            return Ok((Some(v), i + 1));
+        }
+    }
+    if pos != bytes.len() {
+        return Err(Error::Corrupt(format!(
+            "{} bytes left after the last of {len} gap-list entries",
+            bytes.len() - pos
+        )));
+    }
+    Ok((None, len))
+}
+
+/// The LEB128 varint at `bytes[*pos..]` (at most 5 bytes), advancing
+/// `*pos` past it.
+#[inline]
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
+    let mut x = 0u64;
+    for shift in [0, 7, 14, 21, 28] {
+        let Some(&b) = bytes.get(*pos) else {
+            return Err(Error::Corrupt("gap list truncated".into()));
+        };
+        *pos += 1;
+        x |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Ok(x);
+        }
+    }
+    Err(Error::Corrupt("gap varint longer than 5 bytes".into()))
+}
+
+/// Ascending adjacency lists stored gap-encoded ([`encode_gaps`]) on
+/// external storage, with both indexes pinned in DRAM: the edge offsets
+/// (degrees cost no storage request) and the byte offsets of each
+/// encoded list (reads fetch exactly the encoded span).
+#[derive(Debug)]
+pub struct GapCsr<R> {
+    /// List `v` holds entries `[index[v], index[v + 1])`.
+    index: Vec<u64>,
+    /// List `v` is encoded in store bytes `[byte_index[v], byte_index[v + 1])`.
+    byte_index: Vec<u64>,
+    store: R,
+}
+
+impl<R: ReadAt> GapCsr<R> {
+    /// Bind the edge-offset and byte-offset indexes of [`encode_gaps`] to
+    /// the store holding its bytes.
+    ///
+    /// Both indexes must have the same `n + 1 ≥ 1` entries, start at 0 and
+    /// never decrease; the byte index must end at the store's length, and
+    /// each list must take between 1 and 5 bytes per entry. Anything else
+    /// is [`Error::Corrupt`].
+    pub fn new(index: Vec<u64>, byte_index: Vec<u64>, store: R) -> Result<Self> {
+        if index.is_empty() || index.len() != byte_index.len() {
+            return Err(Error::Corrupt(format!(
+                "gap CSR indexes have {} edge and {} byte offsets",
+                index.len(),
+                byte_index.len()
+            )));
+        }
+        if index[0] != 0 || byte_index[0] != 0 {
+            return Err(Error::Corrupt("gap CSR indexes must start at 0".into()));
+        }
+        for v in 0..index.len() - 1 {
+            let (Some(entries), Some(bytes)) = (
+                index[v + 1].checked_sub(index[v]),
+                byte_index[v + 1].checked_sub(byte_index[v]),
+            ) else {
+                return Err(Error::Corrupt(format!(
+                    "gap CSR index decreases at vertex {v}"
+                )));
+            };
+            if bytes < entries || bytes > entries.saturating_mul(5) {
+                return Err(Error::Corrupt(format!(
+                    "vertex {v}: {entries} gap entries in {bytes} bytes"
+                )));
+            }
+        }
+        let end = *byte_index.last().expect("nonempty");
+        if end != store.len() {
+            return Err(Error::Corrupt(format!(
+                "gap CSR byte index ends at {end}, the store holds {} bytes",
+                store.len()
+            )));
+        }
+        Ok(Self {
+            index,
+            byte_index,
+            store,
+        })
+    }
+
+    /// Number of vertices `n`.
+    pub fn num_vertices(&self) -> u64 {
+        self.index.len() as u64 - 1
+    }
+
+    /// Degree of vertex `v`, from the DRAM index.
+    ///
+    /// # Panics
+    /// Panics when `v` is not a vertex.
+    pub fn degree(&self, v: u64) -> u64 {
+        self.index[v as usize + 1] - self.index[v as usize]
+    }
+
+    /// Bytes pinned in DRAM: the two indexes.
+    pub fn dram_byte_size(&self) -> u64 {
+        8 * (self.index.len() + self.byte_index.len()) as u64
+    }
+
+    /// Bytes on the store: the encoded lists.
+    pub fn nvm_byte_size(&self) -> u64 {
+        self.store.len()
+    }
+
+    /// The encoded span of vertex `v`'s list in the store.
+    fn span(&self, v: u64) -> (u64, u64) {
+        (self.byte_index[v as usize], self.byte_index[v as usize + 1])
+    }
+
+    /// Read and decode vertex `v`'s whole list into `out` (cleared first),
+    /// fetching its encoded span through `reader` into `scratch`.
+    pub fn read_neighbors(
+        &self,
+        v: u64,
+        reader: &ChunkedReader,
+        out: &mut Vec<u32>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<()> {
+        self.check_vertex(v)?;
+        out.clear();
+        let (start, end) = self.span(v);
+        scratch.clear();
+        scratch.resize((end - start) as usize, 0);
+        if end > start {
+            reader.read_span(&self.store, start, scratch)?;
+        }
+        scan_gaps(scratch, self.degree(v), |x| {
+            out.push(x);
+            false
+        })?;
+        Ok(())
+    }
+
+    /// Stage the encoded lists of `vs` (any order, duplicates allowed)
+    /// with **one** [`ReadAt::read_batch_at`] call: the page footprint of
+    /// their spans as runs of contiguous pages up to the reader's merge
+    /// limit, each page once — exactly as
+    /// [`ExtCsr::read_neighbors_batch`] reads raw spans. Empty lists add
+    /// no page, and a batch of only empty lists issues no read. The
+    /// returned view scans each staged list in place.
+    pub fn stage<'a>(
+        &'a self,
+        vs: &'a [u64],
+        reader: &ChunkedReader,
+        batch: &'a mut NeighborBatch,
+    ) -> Result<StagedGaps<'a, R>> {
+        for &v in vs {
+            self.check_vertex(v)?;
+        }
+        batch
+            .staged
+            .read(&self.store, vs.iter().map(|&v| self.span(v)), reader)?;
+        Ok(StagedGaps {
+            csr: self,
+            vs,
+            runs: &batch.staged,
+        })
+    }
+
+    fn check_vertex(&self, v: u64) -> Result<()> {
+        if v >= self.num_vertices() {
+            return Err(Error::OutOfBounds {
+                offset: v,
+                len: 1,
+                size: self.num_vertices(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The encoded lists staged by one [`GapCsr::stage`] call.
+#[derive(Debug)]
+pub struct StagedGaps<'a, R> {
+    csr: &'a GapCsr<R>,
+    vs: &'a [u64],
+    runs: &'a PageRuns,
+}
+
+impl<R: ReadAt> StagedGaps<'_, R> {
+    /// Scan the staged list of `vs[i]` in place ([`scan_gaps`]): decode it
+    /// entry by entry up to the first one for which `stop` returns true.
+    ///
+    /// # Panics
+    /// Panics when `i` is not a position in the staged `vs`.
+    pub fn scan(&self, i: usize, stop: impl FnMut(u32) -> bool) -> Result<(Option<u32>, u64)> {
+        let v = self.vs[i];
+        let (start, end) = self.csr.span(v);
+        let bytes = if end > start {
+            self.runs.slice(start, (end - start) as usize)
+        } else {
+            &[]
+        };
+        scan_gaps(bytes, self.csr.degree(v), stop)
+    }
+}
+
 /// Write a CSR (index, values) pair to `index_path`/`value_path` as
 /// little-endian array files — the "offload the forward graph to NVM"
 /// step (§V-A Step 2). Returns total bytes written.
@@ -476,20 +739,6 @@ mod tests {
         assert!(csr.has_dram_index());
         assert_eq!(csr.neighbor_range(3).unwrap(), (5, 6));
         assert_eq!(csr.degree(1).unwrap(), 3);
-    }
-
-    #[test]
-    fn value_window_reads_tail() {
-        let csr = dram_csr();
-        let reader = ChunkedReader::unmerged();
-        let (mut out, mut scratch) = (Vec::new(), Vec::new());
-        // Vertex 1's neighbors occupy [2, 5); read just the tail [3, 5).
-        csr.read_value_window(3, 5, &reader, &mut out, &mut scratch)
-            .unwrap();
-        assert_eq!(out, vec![2, 3]);
-        csr.read_value_window(5, 5, &reader, &mut out, &mut scratch)
-            .unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -733,6 +982,245 @@ mod tests {
         assert!(dev.faults().unwrap().snapshot().eio > 0, "no fault fired");
     }
 
+    #[test]
+    fn read_neighbors_rejects_a_reversed_index_range() {
+        // Vertex 1's range [3, 2) is reversed; the final entry matches the
+        // two stored values, so construction succeeds.
+        let ib: Vec<u8> = [0u64, 3, 2].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let csr = ExtCsr::new(DramBackend::new(ib), DramBackend::new(vec![0u8; 8])).unwrap();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let err = csr
+            .read_neighbors(1, &ChunkedReader::unmerged(), &mut out, &mut scratch)
+            .unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    /// Lists exercising the codec's edges: an empty list, duplicates (gap
+    /// 0), the entries 0 and `u32::MAX`, and the maximal gap.
+    fn edge_case_lists() -> Vec<Vec<u32>> {
+        vec![
+            vec![],
+            vec![0],
+            vec![0, 0, 0],
+            vec![u32::MAX],
+            vec![0, u32::MAX],
+            vec![],
+            vec![5, 5, 127, 128, 16_383, 16_384, u32::MAX, u32::MAX],
+            vec![1, 2, 3],
+        ]
+    }
+
+    fn flatten(lists: &[Vec<u32>]) -> (Vec<u64>, Vec<u32>) {
+        let mut index = vec![0u64];
+        let mut values = Vec::new();
+        for list in lists {
+            values.extend_from_slice(list);
+            index.push(values.len() as u64);
+        }
+        (index, values)
+    }
+
+    /// The lists gap-encoded into a store of their own.
+    fn gap_csr(lists: &[Vec<u32>]) -> GapCsr<DramBackend> {
+        let (index, values) = flatten(lists);
+        let (byte_index, bytes) = encode_gaps(&index, &values);
+        GapCsr::new(index, byte_index, DramBackend::new(bytes)).unwrap()
+    }
+
+    #[test]
+    fn gap_encoding_sizes_and_round_trip() {
+        let lists = edge_case_lists();
+        let (index, values) = flatten(&lists);
+        let (byte_index, bytes) = encode_gaps(&index, &values);
+        // [0, u32::MAX]: one byte, then the maximal gap in five.
+        assert_eq!(byte_index[5] - byte_index[4], 1 + 5);
+        // A gap of 0 (a duplicate) takes one byte.
+        assert_eq!(byte_index[3] - byte_index[2], 3);
+        assert_eq!(*byte_index.last().unwrap(), bytes.len() as u64);
+
+        let csr = gap_csr(&lists);
+        assert_eq!(csr.num_vertices(), lists.len() as u64);
+        assert_eq!(csr.nvm_byte_size(), bytes.len() as u64);
+        assert_eq!(csr.dram_byte_size(), 2 * 8 * (lists.len() as u64 + 1));
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        for (v, list) in lists.iter().enumerate() {
+            assert_eq!(csr.degree(v as u64), list.len() as u64);
+            csr.read_neighbors(v as u64, &ChunkedReader::unmerged(), &mut out, &mut scratch)
+                .unwrap();
+            assert_eq!(&out, list, "vertex {v}");
+        }
+        assert!(matches!(
+            csr.read_neighbors(99, &ChunkedReader::unmerged(), &mut out, &mut scratch),
+            Err(Error::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn gap_scan_stops_at_the_first_hit() {
+        let bytes = encode_gaps(&[0, 4], &[3, 9, 9, 40]).1;
+        assert_eq!(scan_gaps(&bytes, 4, |v| v >= 9).unwrap(), (Some(9), 2));
+        assert_eq!(scan_gaps(&bytes, 4, |v| v == 40).unwrap(), (Some(40), 4));
+        assert_eq!(scan_gaps(&bytes, 4, |_| false).unwrap(), (None, 4));
+        assert_eq!(scan_gaps(&[], 0, |_| true).unwrap(), (None, 0));
+    }
+
+    #[test]
+    fn corrupt_gap_lists_are_typed_errors() {
+        let corrupt = |bytes: &[u8], len: u64| {
+            let err = scan_gaps(bytes, len, |_| false).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{bytes:?}: {err:?}");
+        };
+        // Truncated: two entries promised, one stored; a varint cut short.
+        corrupt(&[7], 2);
+        corrupt(&[0x81], 1);
+        corrupt(&[], 1);
+        // A varint longer than 5 bytes.
+        corrupt(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 1);
+        // Gaps that overflow u32: a 5-byte varint of 2^32, and u32::MAX
+        // followed by a gap of 1.
+        corrupt(&[0x80, 0x80, 0x80, 0x80, 0x10], 1);
+        corrupt(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0x01], 2);
+        // Trailing bytes after the last entry.
+        corrupt(&[1, 2], 1);
+        corrupt(&[0], 0);
+        // A scan that stops early does not look past its hit.
+        assert_eq!(scan_gaps(&[1, 2], 1, |_| true).unwrap(), (Some(1), 1));
+
+        // The same through a GapCsr whose store bytes are damaged: the
+        // one-entry list [300] (2 bytes) with its continuation bit cleared
+        // leaves a trailing byte.
+        let csr = GapCsr::new(vec![0, 1], vec![0, 2], DramBackend::new(vec![0x2c, 0x02])).unwrap();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let err = csr
+            .read_neighbors(0, &ChunkedReader::unmerged(), &mut out, &mut scratch)
+            .unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn inconsistent_gap_indexes_are_rejected() {
+        let store = || DramBackend::new(vec![1, 2, 3]);
+        let bad = [
+            // Short byte index.
+            (vec![0, 1, 3], vec![0, 3]),
+            // Non-monotone byte index.
+            (vec![0, 1, 3], vec![0, 2, 1]),
+            // Non-monotone edge index.
+            (vec![0, 2, 1], vec![0, 2, 3]),
+            // Not starting at 0.
+            (vec![1, 2, 3], vec![0, 1, 3]),
+            // Byte index past the store.
+            (vec![0, 1, 3], vec![0, 1, 4]),
+            // Fewer bytes than entries.
+            (vec![0, 3, 3], vec![0, 2, 3]),
+            // More than 5 bytes per entry.
+            (vec![0, 0, 0], vec![0, 1, 3]),
+            // An entry count whose byte bound overflows.
+            (vec![0, 1 << 62], vec![0, 1 << 63]),
+            // No entries at all.
+            (vec![], vec![]),
+        ];
+        for (index, byte_index) in bad {
+            let what = format!("{index:?} / {byte_index:?}");
+            let err = GapCsr::new(index, byte_index, store()).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{what}: {err:?}");
+        }
+        assert!(GapCsr::new(vec![0, 1, 3], vec![0, 1, 3], store()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn encoding_an_unsorted_list_panics() {
+        let _ = encode_gaps(&[0, 2], &[5, 4]);
+    }
+
+    #[test]
+    fn staged_gap_lists_scan_in_place_and_skip_empty_lists() {
+        let dev = accounting_device();
+        let lists = edge_case_lists();
+        let (index, values) = flatten(&lists);
+        let (byte_index, bytes) = encode_gaps(&index, &values);
+        let csr = GapCsr::new(
+            index,
+            byte_index,
+            crate::device::NvmStore::new(DramBackend::new(bytes), dev.clone()),
+        )
+        .unwrap();
+        let reader = ChunkedReader::for_device(&dev);
+        let mut batch = NeighborBatch::new();
+        let vs = [6u64, 0, 4, 6, 7];
+        let staged = csr.stage(&vs, &reader, &mut batch).unwrap();
+        // The whole encoding fits one page: one request.
+        assert_eq!(dev.snapshot().requests, 1);
+        assert_eq!(staged.scan(0, |v| v > 127).unwrap(), (Some(128), 4));
+        assert_eq!(staged.scan(1, |_| true).unwrap(), (None, 0));
+        assert_eq!(
+            staged.scan(2, |v| v == u32::MAX).unwrap(),
+            (Some(u32::MAX), 2)
+        );
+        assert_eq!(staged.scan(3, |_| false).unwrap(), (None, 8));
+        assert_eq!(staged.scan(4, |v| v == 2).unwrap(), (Some(2), 2));
+
+        // Only empty lists: no read at all.
+        dev.reset_stats();
+        let empty = [0u64, 5, 0];
+        let staged = csr.stage(&empty, &reader, &mut batch).unwrap();
+        assert_eq!(staged.scan(1, |_| true).unwrap(), (None, 0));
+        assert_eq!(dev.snapshot().requests, 0);
+        assert!(matches!(
+            csr.stage(&[8], &reader, &mut batch),
+            Err(Error::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn staged_gap_lists_under_transient_eio_equal_fault_free_ones() {
+        use crate::device::{DelayMode, Device, DeviceProfile, NvmStore};
+        use crate::fault::FaultPlan;
+        // 3000 lists `[v, v + 1, …, v + 9 + v % 7]`, a few pages encoded.
+        let lists: Vec<Vec<u32>> = (0..3000u32)
+            .map(|v| (v..v + 10 + v % 7).collect())
+            .collect();
+        let (index, values) = flatten(&lists);
+        let (byte_index, bytes) = encode_gaps(&index, &values);
+        let plan = FaultPlan::parse("seed=11,eio=0.3,retries=40").unwrap();
+        let dev = Device::with_fault_plan(DeviceProfile::iodrive2(), DelayMode::Accounting, plan);
+        let faulted = GapCsr::new(
+            index.clone(),
+            byte_index.clone(),
+            NvmStore::new(DramBackend::new(bytes.clone()), dev.clone()),
+        )
+        .unwrap();
+        let clean = GapCsr::new(index, byte_index, DramBackend::new(bytes)).unwrap();
+        let vs: Vec<u64> = (0..3000).step_by(7).chain([5, 5, 2999]).collect();
+        for reader in [ChunkedReader::unmerged(), ChunkedReader::new(16 * 1024)] {
+            let (mut want, mut got) = (NeighborBatch::new(), NeighborBatch::new());
+            let want = clean.stage(&vs, &reader, &mut want).unwrap();
+            let got = faulted.stage(&vs, &reader, &mut got).unwrap();
+            for (i, &v) in vs.iter().enumerate() {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                want.scan(i, |x| {
+                    a.push(x);
+                    false
+                })
+                .unwrap();
+                got.scan(i, |x| {
+                    b.push(x);
+                    false
+                })
+                .unwrap();
+                assert_eq!(a, b, "vertex {v}");
+                assert_eq!(a, lists[v as usize], "vertex {v}");
+            }
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            faulted
+                .read_neighbors(2999, &reader, &mut out, &mut scratch)
+                .unwrap();
+            assert_eq!(out, lists[2999]);
+        }
+        assert!(dev.faults().unwrap().snapshot().eio > 0, "no fault fired");
+    }
+
     mod properties {
         use super::*;
         use crate::device::{DelayMode, Device, DeviceProfile, NvmStore};
@@ -796,6 +1284,75 @@ mod tests {
                 for (v, list) in adj.iter().enumerate() {
                     csr.read_neighbors(v as u64, &reader, &mut out, &mut scratch).unwrap();
                     prop_assert_eq!(&out, list);
+                }
+            }
+
+            /// Gap encoding round-trips any ascending lists — empty ones,
+            /// duplicates, the entries 0 and `u32::MAX`, maximal gaps — and
+            /// a staged batch's in-place scan stops where a scan of the raw
+            /// list does, with the device reading exactly the page-run
+            /// footprint of the encoded spans.
+            #[test]
+            fn gap_lists_round_trip_and_scan_to_the_first_hit(
+                raw in proptest::collection::vec(
+                    proptest::collection::vec((0..4u8, any::<u32>()), 0..40), 1..60),
+                picks in proptest::collection::vec(0..1000usize, 0..80),
+                threshold in any::<u32>(),
+            ) {
+                let lists: Vec<Vec<u32>> = raw
+                    .iter()
+                    .map(|list| {
+                        let mut l: Vec<u32> = list
+                            .iter()
+                            .map(|&(kind, x)| match kind {
+                                0 => 0,
+                                1 => u32::MAX,
+                                2 => x % 16,
+                                _ => x,
+                            })
+                            .collect();
+                        l.sort_unstable();
+                        l
+                    })
+                    .collect();
+                let (index, values) = flatten(&lists);
+                let (byte_index, bytes) = encode_gaps(&index, &values);
+                let size = bytes.len() as u64;
+                let profile = DeviceProfile::iodrive2();
+                let dev = Device::new(profile.clone(), DelayMode::Accounting);
+                let csr = GapCsr::new(
+                    index,
+                    byte_index.clone(),
+                    NvmStore::new(DramBackend::new(bytes), dev.clone()),
+                )
+                .unwrap();
+                let n = lists.len();
+                let vs: Vec<u64> = picks.iter().map(|&p| (p % n) as u64).collect();
+                let spans: Vec<(u64, u64)> = vs
+                    .iter()
+                    .map(|&v| (byte_index[v as usize], byte_index[v as usize + 1]))
+                    .collect();
+                for reader in [ChunkedReader::unmerged(), ChunkedReader::new(16 * 1024)] {
+                    let (mut out, mut scratch) = (Vec::new(), Vec::new());
+                    for (v, list) in lists.iter().enumerate() {
+                        csr.read_neighbors(v as u64, &reader, &mut out, &mut scratch).unwrap();
+                        prop_assert_eq!(&out, list);
+                    }
+                    let (requests, bytes) =
+                        page_run_model(&spans, size, reader.merge_limit(), &profile);
+                    dev.reset_stats();
+                    let mut batch = NeighborBatch::new();
+                    let staged = csr.stage(&vs, &reader, &mut batch).unwrap();
+                    prop_assert_eq!(dev.snapshot().requests, requests);
+                    prop_assert_eq!(dev.snapshot().bytes, bytes);
+                    for (i, &v) in vs.iter().enumerate() {
+                        let list = &lists[v as usize];
+                        let want = match list.iter().position(|&x| x >= threshold) {
+                            Some(j) => (Some(list[j]), j as u64 + 1),
+                            None => (None, list.len() as u64),
+                        };
+                        prop_assert_eq!(staged.scan(i, |x| x >= threshold).unwrap(), want);
+                    }
                 }
             }
 

@@ -25,7 +25,8 @@
 //!   chunk reads with kernel-style merging of contiguous chunks into
 //!   larger device requests.
 //! * [`ExtArray`] / [`ExtCsr`] — typed little-endian arrays and CSR
-//!   index/value file pairs stored on external memory.
+//!   index/value file pairs stored on external memory; [`GapCsr`] —
+//!   ascending lists stored as varint gaps, indexes in DRAM.
 //! * [`TempDir`] — scratch-directory utility for tests, examples, benches.
 
 pub mod backend;
@@ -47,7 +48,7 @@ pub use chunked::ChunkedReader;
 pub use device::{DelayMode, Device, DeviceProfile, NvmStore};
 pub use error::{Error, Result};
 pub use ext_array::ExtArray;
-pub use ext_csr::{ExtCsr, NeighborBatch};
+pub use ext_csr::{ExtCsr, GapCsr, NeighborBatch, StagedGaps};
 pub use fault::{
     retry_blocking, Backoff, DeviceHealth, FaultKind, FaultPlan, FaultSnapshot, FaultState,
     PageIntegrity, RetryPolicy,

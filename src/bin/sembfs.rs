@@ -207,6 +207,8 @@ fn main() {
                          | device {requests} requests {bytes} bytes"
                     );
                 }
+                // Only with --faults: shows that the plan fired.
+                print_fault_summary(&data);
             } else {
                 println!("{}", summary.teps_stats.to_report());
                 println!("score (median): {:.3} MTEPS", summary.median_teps() / 1e6);

@@ -100,6 +100,48 @@ fn bfs_checksums_agree_across_thread_counts_on_the_split_layout() {
 }
 
 #[test]
+fn recoverable_faults_leave_split_layout_trees_unchanged() {
+    let run = |faults: &[&str]| {
+        let out = sembfs()
+            .args([
+                "bfs",
+                "--scale",
+                "10",
+                "--scenario",
+                "flash",
+                "--roots",
+                "2",
+            ])
+            .args(["--backward-k", "4", "--threads", "2", "--checksum"])
+            .args(faults)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{faults:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // Retries add device requests, so only `root R: parent-tree D` is
+    // compared.
+    let trees = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("root "))
+            .map(|l| l.split(" | ").next().unwrap().to_string())
+            .collect()
+    };
+    let clean = run(&[]);
+    let faulted = run(&["--faults", "seed=7,eio=0.1"]);
+    assert_eq!(trees(&faulted), trees(&clean));
+    assert_eq!(trees(&clean).len(), 2, "{clean}");
+    assert!(!clean.contains("faults:"), "{clean}");
+    let eio: u64 = faulted
+        .lines()
+        .find_map(|l| l.strip_prefix("faults: "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no fault summary in {faulted}"));
+    assert!(eio > 0, "no fault fired: {faulted}");
+}
+
+#[test]
 fn unparsable_values_and_unknown_scenarios_exit_with_code_2() {
     let cases: [&[&str]; 6] = [
         &["info", "--scale", "abc"],

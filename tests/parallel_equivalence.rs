@@ -15,7 +15,7 @@
 //! layouts each level's device requests and bytes also equal a model of
 //! the read plan: top-down reads each frontier vertex's spans on their
 //! own, and bottom-up reads, per work unit, the page footprint of the
-//! head-missed vertices' tails as merged page runs. The plan depends on
+//! head-missed vertices' gap-encoded tails as merged page runs. The plan depends on
 //! the work units, not on which worker probes them, so it is the same at
 //! every thread count.
 
@@ -243,15 +243,20 @@ fn page_runs(
     (runs.len() as u64, bytes)
 }
 
+/// Bytes of `x` as a LEB128 varint: one per started group of 7 bits.
+fn varint_len(x: u32) -> u64 {
+    u64::from(32 - x.leading_zeros()).max(1).div_ceil(7)
+}
+
 /// Per-level `(requests, bytes)` the split layout's device must see.
 /// Top-down levels read, per frontier vertex and domain, the forward index
 /// pair and the domain's neighbor span, each span split into requests of
 /// at most the reader's merge limit. Bottom-up levels read, per work unit
 /// (one `BOTTOM_UP_CHUNK` range of one domain, as `par_bottom_up_step`
 /// cuts them), the page runs over the tails (`list[k..]`, laid out in
-/// vertex order in the tail value file) of every unvisited vertex whose
-/// DRAM head (`list[..k]`) holds no frontier neighbor. Bytes are physical
-/// (whole device transfer units).
+/// vertex order in the tail value file as varint gaps, the first entry
+/// absolute) of every unvisited vertex whose DRAM head (`list[..k]`) holds
+/// no frontier neighbor. Bytes are physical (whole device transfer units).
 fn first_hit_io(
     sorted_adj: &[Vec<VertexId>],
     levels: &[u32],
@@ -273,13 +278,17 @@ fn first_hit_io(
         }
         (requests, physical)
     };
-    // Byte span of each vertex's tail in the tail value file.
+    // Byte span of each vertex's encoded tail in the tail value file.
     let cut = |list: &[VertexId]| (backward_k as usize).min(list.len());
     let mut tail_spans = Vec::with_capacity(sorted_adj.len());
     let mut end = 0u64;
     for list in sorted_adj {
         let start = end;
-        end += 4 * (list.len() - cut(list)) as u64;
+        let mut prev = 0;
+        for &v in &list[cut(list)..] {
+            end += varint_len(v - prev);
+            prev = v;
+        }
         tail_spans.push((start, end));
     }
     let tail_size = end;
